@@ -38,13 +38,12 @@ struct Result {
   double gups = 0.0;  ///< voxel updates per second / 2^30
 };
 
-/// Distributed-pipeline smoke point: blocking vs overlapped wall time plus
-/// the overlapped run's per-thread overlap efficiencies (busy/wall of the
-/// critical rank) — the numbers that track the Fig. 4 overlap claim.
+/// Distributed-pipeline smoke point: run_distributed wall time plus the
+/// run's per-thread overlap efficiencies (busy/wall of the critical rank) —
+/// the numbers that track the Fig. 4 overlap claim.
 struct PipelineResult {
   int ranks = 4;
   int rows = 2;
-  double blocking_seconds = 0.0;
   double overlapped_seconds = 0.0;
   StageTimer efficiency;
 };
@@ -255,17 +254,12 @@ PipelineResult time_pipeline(const bench::Scene& scene, int runs) {
   IfdkOptions opts;
   opts.ranks = p.ranks;
   opts.rows = p.rows;
-  auto run_once = [&](bool overlap) {
+  IfdkStats last;
+  p.overlapped_seconds = bench::median_seconds(runs, [&] {
     pfs::ParallelFileSystem fs;
     stage_projections(fs, opts.input_prefix, scene.projections);
-    opts.overlap = overlap;
-    return run_distributed(scene.g, fs, opts);
-  };
-  p.blocking_seconds =
-      bench::median_seconds(runs, [&] { run_once(false); });
-  IfdkStats last;
-  p.overlapped_seconds =
-      bench::median_seconds(runs, [&] { last = run_once(true); });
+    last = run_distributed(scene.g, fs, opts);
+  });
   p.efficiency = last.overlap_efficiency;
   return p;
 }
@@ -405,9 +399,9 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
-  // End-to-end distributed pipeline (small 2x2 grid): blocking reference vs
-  // the overlapped pipeline, 3-run medians (the full recon dominates smoke
-  // runtime, so fewer runs than the kernel timings).
+  // End-to-end distributed pipeline (small 2x2 grid), 3-run median (the
+  // full recon dominates smoke runtime, so fewer runs than the kernel
+  // timings).
   const PipelineResult pipeline = time_pipeline(scene, 3);
 
   // Streaming-4DCT smoke point: 4 volumes through the same 2x2 world.
@@ -466,14 +460,12 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  \"pipeline\": {\n"
                "    \"ranks\": %d, \"rows\": %d,\n"
-               "    \"blocking_seconds\": %.6f,\n"
                "    \"overlapped_seconds\": %.6f,\n"
                "    \"overlap_efficiency\": {\"filter_thread\": %.4f, "
                "\"main_thread\": %.4f, \"bp_thread\": %.4f, "
                "\"store_thread\": %.4f}\n"
                "  },\n",
-               pipeline.ranks, pipeline.rows, pipeline.blocking_seconds,
-               pipeline.overlapped_seconds,
+               pipeline.ranks, pipeline.rows, pipeline.overlapped_seconds,
                pipeline.efficiency.get("filter_thread"),
                pipeline.efficiency.get("main_thread"),
                pipeline.efficiency.get("bp_thread"),
@@ -483,12 +475,14 @@ int main(int argc, char** argv) {
                "    \"ranks\": %d, \"rows\": %d, \"volumes\": %d,\n"
                "    \"seconds\": %.6f,\n"
                "    \"volumes_per_second\": %.4f,\n"
-               "    \"busy_wall\": {\"main_thread\": %.4f, "
+               "    \"busy_wall\": {\"filter_thread\": %.4f, "
+               "\"main_thread\": %.4f, "
                "\"bp_thread\": %.4f, \"reduce_thread\": %.4f, "
                "\"store_thread\": %.4f}\n"
                "  },\n",
                streaming.ranks, streaming.rows, streaming.volumes,
                streaming.seconds, streaming.volumes_per_second,
+               streaming.efficiency.get("filter_thread"),
                streaming.efficiency.get("main_thread"),
                streaming.efficiency.get("bp_thread"),
                streaming.efficiency.get("reduce_thread"),
@@ -601,7 +595,7 @@ int main(int argc, char** argv) {
                      plan.allgather_bytes_per_round()),
                  static_cast<unsigned long long>(plan.reduce_bytes_per_epoch()),
                  static_cast<unsigned long long>(
-                     plan.gather_tag_budget(/*fused=*/false)),
+                     plan.gather_tag_budget()),
                  static_cast<unsigned long long>(plan.reduce_tag_budget()),
                  static_cast<unsigned long long>(plan.device_bytes()));
   }
@@ -636,22 +630,21 @@ int main(int argc, char** argv) {
                   scalar_t / vec_t);
     }
   }
-  std::printf("  pipeline %dx%d blocking %.3f s, overlapped %.3f s (%.2fx); "
+  std::printf("  pipeline %dx%d %.3f s; "
               "efficiency filter %.2f, main %.2f, bp %.2f, store %.2f\n",
               pipeline.rows, pipeline.ranks / pipeline.rows,
-              pipeline.blocking_seconds, pipeline.overlapped_seconds,
-              pipeline.overlapped_seconds > 0.0
-                  ? pipeline.blocking_seconds / pipeline.overlapped_seconds
-                  : 0.0,
+              pipeline.overlapped_seconds,
               pipeline.efficiency.get("filter_thread"),
               pipeline.efficiency.get("main_thread"),
               pipeline.efficiency.get("bp_thread"),
               pipeline.efficiency.get("store_thread"));
   std::printf("  streaming %d volumes through %dx%d: %.3f s (%.2f vol/s); "
-              "busy/wall main %.2f, bp %.2f, reduce %.2f, store %.2f\n",
+              "busy/wall filter %.2f, main %.2f, bp %.2f, reduce %.2f, "
+              "store %.2f\n",
               streaming.volumes, streaming.rows,
               streaming.ranks / streaming.rows, streaming.seconds,
               streaming.volumes_per_second,
+              streaming.efficiency.get("filter_thread"),
               streaming.efficiency.get("main_thread"),
               streaming.efficiency.get("bp_thread"),
               streaming.efficiency.get("reduce_thread"),

@@ -20,22 +20,23 @@
 // reads only its 1/R of the column's Np/C share and the AllGather fills in
 // the rest, so no projection is read from the PFS more than once per column.
 //
-// With IfdkOptions::overlap (the default) the stages genuinely overlap the
-// way Fig. 4 requires for the end-to-end time to approach the
-// back-projection lower bound:
+// The stages genuinely overlap the way Fig. 4 requires for the end-to-end
+// time to approach the back-projection lower bound:
 //   * the column AllGather is the nonblocking ring (iallgather_ring),
 //     double-buffered across rounds — round t+1's exchange is initiated
 //     before round t is handed to the Bp-thread, so a rank never serializes
 //     "gather, then enqueue" against its neighbours;
-//   * the row Reduce is the chunked, pipelined ireduce: the slab is
-//     transposed to slice-major on every rank and reduced segment by
-//     segment, so the fold of segment s overlaps the delivery of s+1 —
-//     bitwise-identical to the blocking linear reduce;
+//   * the row Reduce is the chunked, pipelined tree ireduce, run by a
+//     fourth (Reduce-)thread: the slab is transposed to slice-major and
+//     reduced segment by segment, so the fold of segment s overlaps the
+//     delivery of s+1, and the Bp-thread can already accumulate the next
+//     volume of a stream;
 //   * the row root streams every completed slice into a pfs::AsyncWriter,
 //     so PFS stores overlap the tail of the reduce instead of starting
 //     after it.
-// overlap=false selects the blocking reference path; both paths produce
-// bitwise-identical volumes (asserted by tests across all grid shapes).
+// There is one execution path: run_distributed is a one-volume
+// run_streaming. Its volumes are pinned bitwise by tests to a sequential,
+// thread-free replay of the same arithmetic (tests/fdk_oracle.h).
 //
 // Wall-clock per stage is recorded per rank and merged, along with a
 // per-thread overlap efficiency (busy/wall); a gpusim::Device per rank
@@ -67,9 +68,8 @@ struct IfdkStats {
   /// The R x C grid the run actually used (after Eq. (7) auto-selection).
   perfmodel::GridShape grid;
   /// Wall-clock stage seconds, max over ranks (the pipeline-critical rank):
-  /// "load", "filter", "allgather", "backprojection", "d2h", "transpose"
-  /// (overlapped path only), "reduce", "store", "compute"
-  /// (load+filter+allgather+bp span).
+  /// "load", "filter", "allgather", "backprojection", "d2h", "transpose",
+  /// "reduce", "store", "compute" (load+filter+allgather+bp span).
   StageTimer wall;
   /// Modeled V100 seconds summed over the device ledger of the *slowest*
   /// rank: "v_h2d", "v_kernel", "v_d2h".
@@ -78,16 +78,13 @@ struct IfdkStats {
   /// pipeline thread divided by that rank's wall-clock. Entries:
   /// "filter_thread" (load+filter), "main_thread" (column gather),
   /// "bp_thread" (back-projection), "reduce_thread" (transpose + row
-  /// reduce + store drain; overlapped path only), "store_thread" (async
-  /// writer; 0 unless overlapped). An efficiency near 1 means the thread —
-  /// and therefore its stage — is the pipeline bottleneck; the paper's
-  /// overlap claim holds when bp_thread dominates.
+  /// reduce + store drain), "store_thread" (async writer). An efficiency
+  /// near 1 means the thread — and therefore its stage — is the pipeline
+  /// bottleneck; the paper's overlap claim holds when bp_thread dominates.
   StageTimer overlap_efficiency;
-  /// Whether the overlapped pipeline ran (IfdkOptions::overlap).
-  bool overlapped = false;
   double wall_total = 0;
   /// Bytes the framed row-reduce encoder was fed, summed over ranks
-  /// (0 unless IfdkOptions::compress_wire on the overlapped path).
+  /// (0 unless IfdkOptions::compress_wire).
   std::size_t wire_raw_bytes = 0;
   /// Frame bytes that actually went on the wire (headers included).
   std::size_t wire_encoded_bytes = 0;
@@ -125,18 +122,16 @@ struct StreamingStats {
   /// "load", "filter", "allgather", "backprojection", "transpose",
   /// "reduce", "store", "d2h".
   StageTimer wall;
-  /// Busy/wall per pipeline thread, max over ranks: "filter_thread" (0 in
-  /// fused mode, where load+filter bill to the worker), "main_thread"
-  /// (filter+gather worker), "bp_thread", "reduce_thread" (transpose +
-  /// row-reduce + store drain), "store_thread" (async writer).
+  /// Busy/wall per pipeline thread, max over ranks: "filter_thread"
+  /// (load+filter), "main_thread" (column gather), "bp_thread",
+  /// "reduce_thread" (transpose + row-reduce + store drain), "store_thread"
+  /// (async writer).
   StageTimer overlap_efficiency;
   /// Per-volume store outcome, merged over row roots: empty string =
   /// every slice of that volume was stored; otherwise the first error the
   /// writer hit. A failed volume never aborts the stream — later volumes
   /// keep flowing and must stay bit-exact (asserted by tests).
   std::vector<std::string> volume_errors;
-  /// Whether the fused filter/gather worker ran (IfdkOptions).
-  bool fused_filter_gather = false;
   /// Modeled V100 seconds summed over the device ledger of the slowest
   /// rank, whole stream: "v_h2d", "v_kernel", "v_d2h".
   StageTimer device_model;
@@ -202,13 +197,9 @@ StreamingStats run_streaming(const geo::CbctGeometry& geometry,
 /// any rank (I/O, device memory, PFS write, ...) is rethrown here; no
 /// complete output volume is left behind in that case.
 ///
-/// With IfdkOptions::overlap (the default) this is a documented one-volume
-/// wrapper over the streaming execution core — the exact plan/epoch
-/// machinery run_streaming and the service layer use, with a dedicated
-/// Filtering-thread — so there is a single overlapped pipeline
-/// implementation to maintain. overlap=false runs the self-contained
-/// blocking reference path (plain allgather + blocking reduce + serial
-/// store); both produce bitwise-identical volumes.
+/// This is a one-volume wrapper over the streaming execution core — the
+/// exact plan/epoch machinery run_streaming and the service layer use — so
+/// there is a single pipeline implementation to maintain.
 IfdkStats run_distributed(const geo::CbctGeometry& geometry,
                           pfs::ParallelFileSystem& fs,
                           const IfdkOptions& options);

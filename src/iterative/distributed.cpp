@@ -96,19 +96,10 @@ class IterativeWorkload final : public engine::Workload {
     // single-rank leg. The bcast makes the result bitwise-identical on
     // every rank, which is what keeps the iterates (and the convergence
     // branch) rank-consistent.
-    std::vector<float> reduce_recv(rank == 0 ? plan.volume_floats() : 0);
     auto allreduce_volume = [&](Volume& v) {
       ctx.wall.time("allreduce", [&] {
-        mpi::Comm::CollectiveRequest req = world.ireduce(
-            v.data(), rank == 0 ? reduce_recv.data() : nullptr, v.voxels(),
-            mpi::ReduceOp::kSum, /*root=*/0, plan.reduce_segment_floats, {},
-            mpi::ReduceAlgo::kTree);
-        req.wait();
-        if (rank == 0) {
-          std::copy(reduce_recv.begin(), reduce_recv.begin() + v.voxels(),
-                    v.data());
-        }
-        world.bcast(v.data(), v.voxels() * sizeof(float), /*root=*/0);
+        world.allreduce(v.data(), v.data(), v.voxels(), mpi::ReduceOp::kSum,
+                        plan.reduce_segment_floats);
       });
     };
 

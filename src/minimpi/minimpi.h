@@ -9,17 +9,18 @@
 //
 // Supported surface (everything iFDK needs, Section 4.1):
 //   * point-to-point: send / recv with tags (plus nonblocking isend/irecv),
-//   * collectives: barrier, bcast, gather, allgather, reduce, allreduce,
+//   * collectives: barrier, bcast, gather, allgather (the building blocks
+//     of split) and allreduce,
 //   * nonblocking collectives: iallgather_ring and a chunked, pipelined
-//     ireduce (linear or binomial-tree fan-in per segment), each returning a
-//     waitable CollectiveRequest (the overlap primitives of the Fig. 4
-//     pipeline); tag blocks are reserved at initiation, so any number of
-//     collective epochs compose on one communicator (the streaming-4DCT
-//     mode keeps per-volume epochs in flight),
+//     binomial-tree ireduce, each returning a waitable CollectiveRequest
+//     (the overlap primitives of the Fig. 4 pipeline); tag blocks are
+//     reserved at initiation, so any number of collective epochs compose on
+//     one communicator (the streaming-4DCT mode keeps per-volume epochs in
+//     flight),
 //   * communicator split (used to form the R x C rank grid of Fig. 3a).
 //
 // Collectives are implemented over point-to-point with deterministic
-// (rank-ordered) reduction, so distributed results are reproducible and
+// (ascending-rank) reduction, so distributed results are reproducible and
 // comparable against single-node references in tests.
 #pragma once
 
@@ -36,22 +37,6 @@
 namespace ifdk::mpi {
 
 enum class ReduceOp { kSum, kMax, kMin };
-
-/// Fan-in topology of the segmented ireduce.
-///   * kLinear: every rank posts its segments straight to the root, which
-///     folds them in ascending-rank order — the PR 3 algorithm, kept for
-///     bitwise back-compat tests and as the degenerate p<=2 path.
-///   * kTree: per-segment binomial fan-in. Contributions travel up a binomial
-///     tree rooted (virtually) at the reduce root: each relay concatenates
-///     its subtree's contributions and forwards one message, so the root
-///     waits on ceil(log2 p) messages per segment instead of p-1, and the
-///     fan-in latency is spread across the tree. The *summation order is the
-///     same on every path* — relays never fold, only the root does, in
-///     ascending-rank order — so results are bitwise identical to kLinear
-///     (asserted by tests). Relays pay extra copy bandwidth, the in-process
-///     analogue of the switch contention a flat fan-in causes on a real
-///     fabric.
-enum class ReduceAlgo { kLinear, kTree };
 
 namespace detail {
 class World;
@@ -217,35 +202,39 @@ class Comm {
   /// collective_tags_reserved() can account for the wrap skip exactly.
   static constexpr std::uint64_t kCollectiveTagWindow = std::uint64_t{1} << 20;
 
-  /// Nonblocking ring AllGather. Semantics and output are identical to
-  /// allgather_ring() (same tag consumption: p-1 collective sequence
-  /// numbers, reserved at initiation). The caller's block is copied into
-  /// `recv` and the first neighbour exchange is posted before returning, so
-  /// neighbours that wait early never stall on this rank's initiation; the
-  /// remaining p-2 exchange steps run inside wait(). `send_data` may be
-  /// reused as soon as this call returns; `recv` must stay alive and
-  /// untouched until wait() completes.
+  /// Nonblocking ring AllGather (the Fig. 3b column collective): p-1
+  /// neighbour-exchange steps, each moving one block — the bandwidth-optimal
+  /// algorithm large MPI implementations use for big payloads, and the one
+  /// the cluster simulator's cost model assumes. Every rank ends up with the
+  /// rank-ordered concatenation of all contributions. Consumes p-1
+  /// collective sequence numbers, reserved at initiation. The caller's block
+  /// is copied into `recv` and the first neighbour exchange is posted before
+  /// returning, so neighbours that wait early never stall on this rank's
+  /// initiation; the remaining p-2 exchange steps run inside wait().
+  /// `send_data` may be reused as soon as this call returns; `recv` must
+  /// stay alive and untouched until wait() completes.
   CollectiveRequest iallgather_ring(const void* send_data,
                                     std::size_t bytes_per_rank, void* recv);
 
-  /// Nonblocking, chunked, pipelined reduce to `root`. The payload is split
-  /// into ceil(count / segment_floats) segments; leaf ranks post every
-  /// segment eagerly (buffered) and their wait() is a no-op, while the root
-  /// folds segments one at a time inside wait() — so the reduction of
-  /// segment s overlaps the delivery of segment s+1, and `on_segment`
-  /// (root only, may be empty) streams finished segments to a consumer
-  /// (e.g. an async PFS writer) while later segments are still in flight.
-  /// With ReduceAlgo::kTree (the default) segments fan in over a binomial
-  /// tree whose relay ranks forward inside *their* wait(); with kLinear
-  /// every rank posts straight to the root. Either way the per-element fold
-  /// order is ascending rank, exactly like reduce(), so results are bitwise
-  /// identical across algorithms and to the blocking linear reduce.
-  /// `segment_floats` must be positive and identical on every rank (it
-  /// determines the number of reserved tags; `algo` must match too).
-  /// `recv` may be null on non-root ranks and must not alias `send_data` on
-  /// the root. Multiple ireduce epochs may be in flight on one communicator
-  /// (each reserves its own tag block at initiation) as long as every
-  /// member initiates them in the same order.
+  /// Nonblocking, chunked, pipelined reduce to `root` (the Fig. 3b row
+  /// collective). The payload is split into ceil(count / segment_floats)
+  /// segments that fan in over a binomial tree rooted (virtually) at `root`:
+  /// each relay concatenates its subtree's contributions and forwards one
+  /// message inside *its* wait(), so the root waits on ceil(log2 p) messages
+  /// per segment instead of p-1; leaves post every segment eagerly
+  /// (buffered) and their wait() is a no-op. The root folds segments one at
+  /// a time inside wait() — so the reduction of segment s overlaps the
+  /// delivery of segment s+1, and `on_segment` (root only, may be empty)
+  /// streams finished segments to a consumer (e.g. an async PFS writer)
+  /// while later segments are still in flight. Relays never fold: the root
+  /// alone folds every element in ascending-rank order (rank 0's
+  /// contribution first), so results are deterministic and independent of
+  /// the segment size. `segment_floats` must be positive and identical on
+  /// every rank (it determines the number of reserved tags: one per
+  /// segment). `recv` may be null on non-root ranks and must not alias
+  /// `send_data` on the root. Multiple ireduce epochs may be in flight on
+  /// one communicator (each reserves its own tag block at initiation) as
+  /// long as every member initiates them in the same order.
   ///
   /// `wire` (must be set on every member or none — frames and raw floats
   /// cannot mix within one reduce) frames each contribution with the given
@@ -259,7 +248,6 @@ class Comm {
                             std::size_t count, ReduceOp op, int root,
                             std::size_t segment_floats = kDefaultReduceSegment,
                             SegmentCallback on_segment = {},
-                            ReduceAlgo algo = ReduceAlgo::kTree,
                             const WireCodec* wire = nullptr);
 
   // -- collectives ---------------------------------------------------------
@@ -275,39 +263,20 @@ class Comm {
   void gather(const void* send_data, std::size_t bytes_per_rank, void* recv,
               int root);
 
-  /// Simultaneous send to `dest` and receive from `src` (same tag space as
-  /// send/recv; deadlock-free like MPI_Sendrecv).
-  void sendrecv(int dest, const void* send_data, int src, void* recv_data,
-                std::size_t bytes, int tag);
-
-  /// AllGather (the Fig. 3b column collective): every rank ends up with the
-  /// rank-ordered concatenation of all contributions. Dispatches to the
-  /// configured algorithm (gather+bcast by default; ring available).
+  /// Blocking AllGather as gather to rank 0 + bcast: every rank ends up with
+  /// the rank-ordered concatenation of all contributions. split() exchanges
+  /// its (color, key) entries through it; bulk data rides iallgather_ring.
   void allgather(const void* send_data, std::size_t bytes_per_rank,
                  void* recv);
 
-  /// Ring AllGather: P-1 neighbour exchange steps, each moving one block —
-  /// the bandwidth-optimal algorithm large MPI implementations use for big
-  /// payloads (and the one the cluster simulator's cost model assumes).
-  /// Output is identical to allgather().
-  void allgather_ring(const void* send_data, std::size_t bytes_per_rank,
-                      void* recv);
-
-  /// Element-wise float reduction to `root` (the Fig. 3b row collective).
-  /// Reduction order is fixed (ascending rank), making results deterministic.
-  void reduce(const float* send_data, float* recv, std::size_t count,
-              ReduceOp op, int root);
-
-  /// Binomial-tree reduce: log2(P) rounds instead of P-1 messages at the
-  /// root. Floating-point summation order differs from reduce() (pairwise
-  /// instead of linear), so results are deterministic but not bitwise equal
-  /// to the linear algorithm.
-  void reduce_tree(const float* send_data, float* recv, std::size_t count,
-                   ReduceOp op, int root);
-
-  /// reduce followed by bcast.
+  /// Element-wise float reduction whose result every rank receives: the
+  /// segmented tree ireduce into a scratch buffer on rank 0, then a bcast
+  /// of the result. Same ascending-rank fold as ireduce, so every rank holds
+  /// bitwise-identical values. Consumes ceil(count / segment_floats) + 1
+  /// collective sequence numbers. `recv` may alias `send_data`.
   void allreduce(const float* send_data, float* recv, std::size_t count,
-                 ReduceOp op);
+                 ReduceOp op,
+                 std::size_t segment_floats = kDefaultReduceSegment);
 
   // -- introspection ---------------------------------------------------------
 

@@ -286,8 +286,7 @@ JobHandle ReconService::submit(JobSpec spec) {
           std::to_string(plan.reduce_segment_floats) + ") or rows R (" +
           std::to_string(plan.grid.rows) + ")");
     }
-    const std::uint64_t gather_budget =
-        plan.gather_tag_budget(options_.ifdk.fuse_filter_gather);
+    const std::uint64_t gather_budget = plan.gather_tag_budget();
     if (gather_budget > window) {
       throw reject("one column-gather epoch reserves " +
                    std::to_string(gather_budget) +

@@ -1,7 +1,7 @@
 // Randomized collective stress harness: seeded interleavings of
-// point-to-point traffic, blocking collectives, and nonblocking collectives
-// (both ireduce fan-ins) across 2-8 ranks, with out-of-order waits of the
-// outstanding handles and mid-stream aborts. Every rank derives the SAME
+// point-to-point traffic, blocking collectives, immediately waited and
+// outstanding nonblocking collectives across 2-8 ranks, with out-of-order
+// waits of the outstanding handles and mid-stream aborts. Every rank derives the SAME
 // op program from the seed (op types, roots, counts, segment sizes, wait
 // schedule — the global consistency the minimpi progress model requires),
 // while payloads are rank-dependent, so every op's result is verifiable
@@ -39,8 +39,8 @@ float apply(ReduceOp op, float a, float b) {
   return a;
 }
 
-/// The linear ascending-rank fold — the canonical summation order that both
-/// reduce() and ireduce (linear AND tree fan-in) must reproduce bitwise.
+/// The ascending-rank fold — the summation order the tree ireduce's root
+/// uses, so every reduction below must reproduce it bitwise.
 float expected_fold(ReduceOp op, int p, int op_id, std::size_t i) {
   float acc = val(0, op_id, i);
   for (int r = 1; r < p; ++r) acc = apply(op, acc, val(r, op_id, i));
@@ -151,25 +151,23 @@ void run_program(Comm& comm, const Program& prog) {
     const ReduceOp rop = kind % 3 == 0   ? ReduceOp::kSum
                          : kind % 3 == 1 ? ReduceOp::kMax
                                          : ReduceOp::kMin;
-    const ReduceAlgo algo =
-        rng.next_below(2) == 0 ? ReduceAlgo::kTree : ReduceAlgo::kLinear;
     // Force drains so the pending pool stays bounded; otherwise wait a
     // seeded-random outstanding handle ~1 op in 5.
     const bool must_drain = pending.size() >= 5;
     const std::uint64_t wait_draw = rng.next_below(100);
 
     if (kind < 15) {
-      // Blocking neighbour sendrecv on a user tag in the gaps between
-      // outstanding collectives.
+      // Blocking neighbour exchange (buffered send, then recv) on a user
+      // tag in the gaps between outstanding collectives.
       const int right = (comm.rank() + 1) % p;
       const int left = (comm.rank() + p - 1) % p;
       const std::vector<float> mine = make_payload(comm.rank(), op_id, count);
       std::vector<float> from_left(count);
-      comm.sendrecv(right, mine.data(), left, from_left.data(),
-                    count * sizeof(float), /*tag=*/op_id % 1000);
+      comm.send(right, op_id % 1000, mine.data(), count * sizeof(float));
+      comm.recv(left, op_id % 1000, from_left.data(), count * sizeof(float));
       for (std::size_t i = 0; i < count; ++i) {
         ASSERT_EQ(from_left[i], val(left, op_id, i))
-            << "sendrecv op " << op_id << ", element " << i;
+            << "neighbour exchange op " << op_id << ", element " << i;
       }
     } else if (kind < 25) {
       // isend to the right neighbour + irecv from the left, the receive
@@ -198,23 +196,27 @@ void run_program(Comm& comm, const Program& prog) {
     } else if (kind < 45) {
       const std::vector<float> mine = make_payload(comm.rank(), op_id, count);
       std::vector<float> out(comm.rank() == root ? count : 0);
-      comm.reduce(mine.data(), comm.rank() == root ? out.data() : nullptr,
-                  count, rop, root);
+      // Waited at once: a collective initiated and completed between the
+      // outstanding ones.
+      comm.ireduce(mine.data(), comm.rank() == root ? out.data() : nullptr,
+                   count, rop, root, segment)
+          .wait();
       if (comm.rank() == root) {
         for (std::size_t i = 0; i < count; ++i) {
           ASSERT_EQ(out[i], expected_fold(rop, p, op_id, i))
-              << "reduce op " << op_id << ", element " << i;
+              << "waited ireduce op " << op_id << ", element " << i;
         }
       }
     } else if (kind < 55) {
       const std::vector<float> mine = make_payload(comm.rank(), op_id, count);
       std::vector<float> out(static_cast<std::size_t>(p) * count);
-      comm.allgather_ring(mine.data(), count * sizeof(float), out.data());
+      comm.iallgather_ring(mine.data(), count * sizeof(float), out.data())
+          .wait();
       for (int r = 0; r < p; ++r) {
         for (std::size_t i = 0; i < count; ++i) {
           ASSERT_EQ(out[static_cast<std::size_t>(r) * count + i],
                     val(r, op_id, i))
-              << "allgather_ring op " << op_id;
+              << "waited iallgather_ring op " << op_id;
         }
       }
     } else if (kind < 72) {
@@ -238,7 +240,7 @@ void run_program(Comm& comm, const Program& prog) {
       rd->out.resize(comm.rank() == root ? count : 0);
       rd->req = comm.ireduce(rd->send.data(),
                              comm.rank() == root ? rd->out.data() : nullptr,
-                             count, rop, root, segment, {}, algo);
+                             count, rop, root, segment);
       pending.push_back(std::move(rd));
     } else {
       comm.barrier();

@@ -1,7 +1,8 @@
 // Integration tests for the iFDK distributed framework: end-to-end
-// distributed reconstruction against the single-node reference, every grid
-// shape, slab-pair decomposition correctness, device-memory enforcement, and
-// the staging helpers.
+// distributed reconstruction against the single-node reference and bitwise
+// against the sequential oracle (fdk_oracle.h), every grid shape, slab-pair
+// decomposition correctness, device-memory enforcement, and the staging
+// helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 
 #include "backproj/backprojector.h"
 #include "common/error.h"
+#include "fdk_oracle.h"
 #include "ifdk/fdk.h"
 #include "ifdk/framework.h"
 #include "minimpi/minimpi.h"
@@ -120,6 +122,19 @@ TEST_P(GridShapes, DistributedMatchesSingleNode) {
       << "grid " << rows << "x" << ranks / rows;
 }
 
+TEST_P(GridShapes, OracleMatchesSingleNode) {
+  // The oracle is the same arithmetic as reconstruct_fdk, regrouped into
+  // slab pairs, gather rounds and a column fold: near-exact agreement.
+  const auto [ranks, rows] = GetParam();
+  const Scene s = make_scene(48, 24, 12);
+  IfdkOptions opts;
+  opts.ranks = ranks;
+  opts.rows = rows;
+  EXPECT_LT(relative_rmse(s.reference, fdk_oracle(s.g, s.projections, opts)),
+            1e-6)
+      << "grid " << rows << "x" << ranks / rows;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllGrids, GridShapes,
     ::testing::Values(std::pair<int, int>{1, 1},   // single rank
@@ -133,21 +148,16 @@ INSTANTIATE_TEST_SUITE_P(
 class OverlapEquivalence
     : public ::testing::TestWithParam<std::pair<int, int>> {};  // ranks, rows
 
-TEST_P(OverlapEquivalence, OverlappedVolumeIsBitwiseIdenticalToBlocking) {
-  // The tentpole invariant: the overlapped pipeline (nonblocking ring
-  // AllGather double-buffered across rounds, segmented pipelined row
-  // ireduce, async PFS store) must reproduce the blocking path bit for bit.
+TEST_P(OverlapEquivalence, VolumeIsBitwiseIdenticalToOracle) {
+  // The pipeline (nonblocking ring AllGather double-buffered across rounds,
+  // segmented pipelined row ireduce, async PFS store) must reproduce the
+  // sequential oracle bit for bit.
   const auto [ranks, rows] = GetParam();
   const Scene s = make_scene(48, 24, 12);
-
-  pfs::ParallelFileSystem fs_blocking;
-  stage_projections(fs_blocking, "proj/", s.projections);
-  IfdkOptions blocking;
-  blocking.ranks = ranks;
-  blocking.rows = rows;
-  blocking.overlap = false;
-  run_distributed(s.g, fs_blocking, blocking);
-  const Volume ref = load_volume(fs_blocking, "vol/slice_", s.g.vol_dims());
+  IfdkOptions opts;
+  opts.ranks = ranks;
+  opts.rows = rows;
+  const Volume ref = fdk_oracle(s.g, s.projections, opts);
 
   // Exercise segment sizes around the slice granularity: smaller than a
   // slice, non-divisible, and the default (larger than the whole slab).
@@ -156,19 +166,11 @@ TEST_P(OverlapEquivalence, OverlappedVolumeIsBitwiseIdenticalToBlocking) {
         mpi::Comm::kDefaultReduceSegment}) {
     pfs::ParallelFileSystem fs;
     stage_projections(fs, "proj/", s.projections);
-    IfdkOptions overlapped;
-    overlapped.ranks = ranks;
-    overlapped.rows = rows;
-    overlapped.overlap = true;
-    overlapped.reduce_segment_floats = segment;
-    const IfdkStats stats = run_distributed(s.g, fs, overlapped);
-    EXPECT_TRUE(stats.overlapped);
-    const Volume vol = load_volume(fs, "vol/slice_", s.g.vol_dims());
-    for (std::size_t n = 0; n < ref.voxels(); ++n) {
-      ASSERT_EQ(vol.data()[n], ref.data()[n])
-          << "grid " << rows << "x" << ranks / rows << ", segment " << segment
-          << ", voxel " << n;
-    }
+    opts.reduce_segment_floats = segment;
+    run_distributed(s.g, fs, opts);
+    EXPECT_TRUE(
+        bitwise_equal(ref, load_volume(fs, "vol/slice_", s.g.vol_dims())))
+        << "grid " << rows << "x" << ranks / rows << ", segment " << segment;
   }
 }
 
@@ -178,7 +180,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int, int>{2, 2},   // R=2, C=1 (no reduce)
                       std::pair<int, int>{2, 1},   // R=1, C=2 (no gather)
                       std::pair<int, int>{4, 2},   // R=2, C=2
-                      std::pair<int, int>{6, 3})); // R=3, C=2
+                      std::pair<int, int>{6, 3},   // R=3, C=2
+                      std::pair<int, int>{8, 2})); // R=2, C=4: fold order
 
 TEST(Framework, OverlapStatsExposeThreadEfficiencies) {
   const Scene s = make_scene(48, 12, 12);
@@ -188,9 +191,8 @@ TEST(Framework, OverlapStatsExposeThreadEfficiencies) {
   opts.ranks = 4;
   opts.rows = 2;
   const IfdkStats stats = run_distributed(s.g, fs, opts);
-  ASSERT_TRUE(stats.overlapped);
-  for (const char* thread :
-       {"filter_thread", "main_thread", "bp_thread", "store_thread"}) {
+  for (const char* thread : {"filter_thread", "main_thread", "bp_thread",
+                             "reduce_thread", "store_thread"}) {
     const double eff = stats.overlap_efficiency.get(thread);
     EXPECT_GT(eff, 0.0) << thread;
     EXPECT_LE(eff, 1.0 + 1e-9) << thread;
@@ -379,18 +381,6 @@ TEST(Framework, InjectedReadFailureSurfacesAndUnblocksAllRanks) {
   }
 }
 
-TEST(Framework, InjectedReadFailureOnBlockingPath) {
-  // The blocking reference pipeline must keep the same abort guarantees.
-  const Scene s = make_scene(48, 12, 12);
-  FailingReadFs fs(/*fail_at=*/5);
-  stage_projections(fs, "proj/", s.projections);
-  IfdkOptions opts;
-  opts.ranks = 4;
-  opts.rows = 2;
-  opts.overlap = false;
-  EXPECT_THROW(run_distributed(s.g, fs, opts), Error);
-}
-
 /// PFS wrapper that throws on the Nth *slice* write: the fault hits the row
 /// root's async writer thread while the pipelined reduce is still feeding it.
 class FailingWriteFs : public pfs::ParallelFileSystem {
@@ -412,33 +402,31 @@ class FailingWriteFs : public pfs::ParallelFileSystem {
 
 TEST(Framework, InjectedWriteFailureSurfacesFromAsyncStore) {
   // A store failure on the async writer thread must surface from
-  // run_distributed on both pipeline paths, not hang the other ranks.
+  // run_distributed, not hang the other ranks.
   const Scene s = make_scene(48, 12, 12);
-  for (const bool overlap : {true, false}) {
-    for (const int fail_at : {0, 7}) {
-      FailingWriteFs fs(fail_at);
-      stage_projections(fs, "proj/", s.projections);
-      IfdkOptions opts;
-      opts.ranks = 4;
-      opts.rows = 2;
-      opts.overlap = overlap;
-      opts.reduce_segment_floats = 256;  // several segments per slab
-      EXPECT_THROW(run_distributed(s.g, fs, opts), Error)
-          << "overlap " << overlap << ", fail_at " << fail_at;
-    }
+  for (const int fail_at : {0, 7}) {
+    FailingWriteFs fs(fail_at);
+    stage_projections(fs, "proj/", s.projections);
+    IfdkOptions opts;
+    opts.ranks = 4;
+    opts.rows = 2;
+    opts.reduce_segment_floats = 256;  // several segments per slab
+    EXPECT_THROW(run_distributed(s.g, fs, opts), Error)
+        << "fail_at " << fail_at;
   }
 }
 
 TEST(Framework, InjectedReadFailureWithRingAllgather) {
-  // Same fault with the ring AllGather: the neighbour-exchange steps block
-  // pairwise, so the abort protocol must unblock a partially completed ring.
+  // The column AllGather is the nonblocking ring, whose neighbour-exchange
+  // steps block pairwise: a read fault on one rank must unblock a partially
+  // completed ring on its column peers (default queue depth, unlike the
+  // sweep above).
   const Scene s = make_scene(48, 12, 12);
   FailingReadFs fs(/*fail_at=*/3);
   stage_projections(fs, "proj/", s.projections);
   IfdkOptions opts;
   opts.ranks = 4;
   opts.rows = 2;
-  opts.use_ring_allgather = true;
   EXPECT_THROW(run_distributed(s.g, fs, opts), Error);
 }
 

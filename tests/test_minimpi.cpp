@@ -1,6 +1,7 @@
 // minimpi runtime tests: point-to-point ordering, every collective against a
-// sequential reference, communicator splitting into the iFDK R x C grid, and
-// failure propagation.
+// sequential reference (reductions against the ascending-rank fold computed
+// in the test), communicator splitting into the iFDK R x C grid, and failure
+// propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -122,7 +123,7 @@ TEST(MiniMpi, ReduceSumMatchesSequential) {
                 static_cast<float>(i % 7);
     }
     std::vector<float> result(kCount, -1.0f);
-    comm.reduce(mine.data(), result.data(), kCount, ReduceOp::kSum, 0);
+    comm.ireduce(mine.data(), result.data(), kCount, ReduceOp::kSum, 0).wait();
     if (comm.rank() == 0) {
       for (std::size_t i = 0; i < kCount; ++i) {
         float expected = 0;
@@ -140,8 +141,8 @@ TEST(MiniMpi, ReduceMaxMinAndNonZeroRoot) {
   run_world(4, [](Comm& comm) {
     const float mine = static_cast<float>((comm.rank() * 13) % 7);
     float max_out = -1, min_out = -1;
-    comm.reduce(&mine, &max_out, 1, ReduceOp::kMax, 3);
-    comm.reduce(&mine, &min_out, 1, ReduceOp::kMin, 3);
+    comm.ireduce(&mine, &max_out, 1, ReduceOp::kMax, 3).wait();
+    comm.ireduce(&mine, &min_out, 1, ReduceOp::kMin, 3).wait();
     if (comm.rank() == 3) {
       EXPECT_FLOAT_EQ(max_out, 6.0f);  // ranks give 0, 6, 5, 4
       EXPECT_FLOAT_EQ(min_out, 0.0f);
@@ -158,6 +159,36 @@ TEST(MiniMpi, AllReduceEveryoneGetsTheSum) {
   });
 }
 
+TEST(MiniMpi, AllReduceSegmentedInPlaceMatchesFoldOnEveryRank) {
+  // The volume all-reduce of the iterative workload: segmented, in place
+  // (recv aliases send), and bitwise the ascending-rank fold on every rank,
+  // reserving one tag per segment plus one for the bcast.
+  for (int ranks : {1, 2, 5}) {
+    run_world(ranks, [ranks](Comm& comm) {
+      constexpr std::size_t kCount = 100;
+      constexpr std::size_t kSegment = 16;  // 7 segments
+      auto contribution = [](int rank, std::size_t i) {
+        return (rank % 2 == 0 ? 1.0f : -1.0f) *
+               (1.0f + static_cast<float>(i) * 1e-6f) *
+               static_cast<float>(1 + rank);
+      };
+      std::vector<float> data(kCount);
+      for (std::size_t i = 0; i < kCount; ++i) {
+        data[i] = contribution(comm.rank(), i);
+      }
+      const std::uint64_t tags_before = comm.collective_tags_reserved();
+      comm.allreduce(data.data(), data.data(), kCount, ReduceOp::kSum,
+                     kSegment);
+      EXPECT_EQ(comm.collective_tags_reserved() - tags_before, 7u + 1u);
+      for (std::size_t i = 0; i < kCount; ++i) {
+        float fold = contribution(0, i);
+        for (int r = 1; r < ranks; ++r) fold = fold + contribution(r, i);
+        ASSERT_EQ(data[i], fold) << ranks << " ranks, element " << i;
+      }
+    });
+  }
+}
+
 TEST(MiniMpi, ReduceIsDeterministic) {
   // Summation order is rank-ascending by construction; two identical runs
   // must produce bitwise identical results even with adversarial values.
@@ -171,7 +202,7 @@ TEST(MiniMpi, ReduceIsDeterministic) {
                   static_cast<float>(1 << (comm.rank() % 5));
       }
       std::vector<float> result(64);
-      comm.reduce(mine.data(), result.data(), 64, ReduceOp::kSum, 0);
+      comm.ireduce(mine.data(), result.data(), 64, ReduceOp::kSum, 0).wait();
       if (comm.rank() == 0) out = result;
     };
   };
@@ -212,7 +243,7 @@ TEST(MiniMpi, SplitFormsIfdkGrid) {
     // Row Reduce: sum of world ranks across the row.
     const float fmine = static_cast<float>(mine);
     float row_sum = 0;
-    row_comm.reduce(&fmine, &row_sum, 1, ReduceOp::kSum, 0);
+    row_comm.ireduce(&fmine, &row_sum, 1, ReduceOp::kSum, 0).wait();
     if (col == 0) {
       float expected = 0;
       for (int cc = 0; cc < kC; ++cc) {
@@ -281,16 +312,18 @@ TEST(MiniMpi, ZeroByteMessages) {
 }
 
 
-TEST(MiniMpi, SendrecvExchangesWithoutDeadlock) {
+TEST(MiniMpi, NeighbourExchangeWithoutDeadlock) {
   // Every rank simultaneously sends to its right neighbour and receives
-  // from its left — the pattern ring algorithms are built from.
+  // from its left — the pattern ring algorithms are built from. Sends are
+  // buffered, so send-then-recv cannot deadlock.
   run_world(5, [](Comm& comm) {
     const int p = comm.size();
     const int right = (comm.rank() + 1) % p;
     const int left = (comm.rank() + p - 1) % p;
     const int mine = comm.rank() * 11;
     int got = -1;
-    comm.sendrecv(right, &mine, left, &got, sizeof(int), 3);
+    comm.send(right, 3, &mine, sizeof(int));
+    comm.recv(left, 3, &got, sizeof(int));
     EXPECT_EQ(got, left * 11);
   });
 }
@@ -304,7 +337,7 @@ TEST(MiniMpi, RingAllGatherMatchesLinear) {
     }
     std::vector<float> linear(28), ring(28);
     comm.allgather(mine.data(), sizeof(mine), linear.data());
-    comm.allgather_ring(mine.data(), sizeof(mine), ring.data());
+    comm.iallgather_ring(mine.data(), sizeof(mine), ring.data()).wait();
     EXPECT_EQ(linear, ring);
   });
 }
@@ -313,28 +346,32 @@ TEST(MiniMpi, RingAllGatherSingleRank) {
   run_world(1, [](Comm& comm) {
     const double mine = 2.5;
     double out = 0;
-    comm.allgather_ring(&mine, sizeof(double), &out);
+    comm.iallgather_ring(&mine, sizeof(double), &out).wait();
     EXPECT_EQ(out, 2.5);
   });
 }
 
-TEST(MiniMpi, TreeReduceMatchesLinearSum) {
-  // Pairwise vs linear summation: equal up to float associativity.
+TEST(MiniMpi, TreeReduceMatchesAscendingRankFold) {
+  // The binomial fan-in only relays; the root folds in ascending-rank order,
+  // so the result is bitwise the linear fold computed here.
   for (int ranks : {2, 3, 4, 7, 8}) {
     run_world(ranks, [ranks](Comm& comm) {
+      auto contribution = [](int rank, std::size_t i) {
+        return static_cast<float>(rank + 1) + 0.1f * static_cast<float>(i);
+      };
       std::vector<float> mine(100);
       for (std::size_t i = 0; i < mine.size(); ++i) {
-        mine[i] = static_cast<float>(comm.rank() + 1) +
-                  0.125f * static_cast<float>(i);
+        mine[i] = contribution(comm.rank(), i);
       }
-      std::vector<float> linear(100), tree(100);
-      comm.reduce(mine.data(), linear.data(), 100, ReduceOp::kSum, 0);
-      comm.reduce_tree(mine.data(), tree.data(), 100, ReduceOp::kSum, 0);
+      std::vector<float> tree(100);
+      comm.ireduce(mine.data(), tree.data(), 100, ReduceOp::kSum, 0,
+                   /*segment_floats=*/16)
+          .wait();
       if (comm.rank() == 0) {
         for (std::size_t i = 0; i < 100; ++i) {
-          EXPECT_NEAR(tree[i], linear[i],
-                      1e-4f * std::abs(linear[i]) + 1e-5f)
-              << ranks << " ranks, element " << i;
+          float fold = contribution(0, i);
+          for (int r = 1; r < ranks; ++r) fold = fold + contribution(r, i);
+          EXPECT_EQ(tree[i], fold) << ranks << " ranks, element " << i;
         }
       }
     });
@@ -353,7 +390,7 @@ TEST(MiniMpi, RingAndTreeCollectivesInterleave) {
         const float mine =
             static_cast<float>(comm.rank() + 1 + 10 * round);
         std::vector<float> ring(static_cast<std::size_t>(p));
-        comm.allgather_ring(&mine, sizeof(float), ring.data());
+        comm.iallgather_ring(&mine, sizeof(float), ring.data()).wait();
         for (int r = 0; r < p; ++r) {
           EXPECT_FLOAT_EQ(ring[static_cast<std::size_t>(r)],
                           static_cast<float>(r + 1 + 10 * round))
@@ -361,7 +398,7 @@ TEST(MiniMpi, RingAndTreeCollectivesInterleave) {
         }
 
         float sum = 0;
-        comm.reduce_tree(&mine, &sum, 1, ReduceOp::kSum, 0);
+        comm.ireduce(&mine, &sum, 1, ReduceOp::kSum, 0).wait();
         if (comm.rank() == 0) {
           const float expect =
               static_cast<float>(p * (p + 1) / 2 + 10 * round * p);
@@ -388,7 +425,7 @@ TEST(MiniMpi, TreeReduceNonZeroRootAndMax) {
   run_world(6, [](Comm& comm) {
     const float mine = static_cast<float>((comm.rank() * 7) % 5);
     float out = -1;
-    comm.reduce_tree(&mine, &out, 1, ReduceOp::kMax, 4);
+    comm.ireduce(&mine, &out, 1, ReduceOp::kMax, 4).wait();
     if (comm.rank() == 4) {
       EXPECT_FLOAT_EQ(out, 4.0f);  // values are 0,2,4,1,3,0
     }

@@ -1,9 +1,9 @@
 // Nonblocking-collective tests: iallgather_ring / ireduce correctness
-// against their blocking references, adversarial interleaving with
-// point-to-point traffic and other collectives on the same communicator,
-// out-of-order waits, pipelined segment callbacks, and failure injection
-// (one rank aborting mid-collective) — the PR 2 failure-injection suite
-// extended to the overlap primitives.
+// against references computed in the test (the rank-ordered concatenation;
+// the ascending-rank fold), adversarial interleaving with point-to-point
+// traffic and other collectives on the same communicator, out-of-order
+// waits, pipelined segment callbacks, and failure injection (one rank
+// aborting mid-collective).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,7 +16,37 @@
 namespace ifdk::mpi {
 namespace {
 
-TEST(NonblockingCollectives, IallgatherRingMatchesBlocking) {
+float apply(ReduceOp op, float a, float b) {
+  switch (op) {
+    case ReduceOp::kSum: return a + b;
+    case ReduceOp::kMax: return a > b ? a : b;
+    case ReduceOp::kMin: return a < b ? a : b;
+  }
+  return a;
+}
+
+/// The ascending-rank fold of `contribution(rank, i)` over p ranks, starting
+/// from rank 0 — the order ireduce's root folds in, so ireduce must match
+/// it bitwise.
+template <typename Contribution>
+std::vector<float> reference_fold(int p, std::size_t count, ReduceOp op,
+                                  Contribution contribution) {
+  std::vector<float> out(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = contribution(0, i);
+    for (int r = 1; r < p; ++r) out[i] = apply(op, out[i], contribution(r, i));
+  }
+  return out;
+}
+
+/// Rank-dependent payload with mixed signs and magnitudes, so a wrong fold
+/// order changes the rounding.
+float signed_payload(int rank, std::size_t i) {
+  return (rank % 2 == 0 ? 1.0f : -1.0f) *
+         (1.0f + static_cast<float>(i) * 1e-6f) * static_cast<float>(1 + rank);
+}
+
+TEST(NonblockingCollectives, IallgatherRingMatchesReference) {
   for (int ranks : {1, 2, 3, 5, 8}) {
     run_world(ranks, [ranks](Comm& comm) {
       std::array<float, 3> mine{};
@@ -25,40 +55,42 @@ TEST(NonblockingCollectives, IallgatherRingMatchesBlocking) {
             static_cast<float>(comm.rank() * 10 + i);
       }
       const std::size_t total = static_cast<std::size_t>(3 * comm.size());
-      std::vector<float> blocking(total), nonblocking(total);
-      comm.allgather_ring(mine.data(), sizeof(mine), blocking.data());
+      std::vector<float> expected(total), nonblocking(total);
+      for (std::size_t n = 0; n < total; ++n) {
+        expected[n] = static_cast<float>((n / 3) * 10 + n % 3);
+      }
       Comm::CollectiveRequest req =
           comm.iallgather_ring(mine.data(), sizeof(mine), nonblocking.data());
       req.wait();
       EXPECT_FALSE(req.valid());
-      EXPECT_EQ(blocking, nonblocking) << ranks << " ranks";
+      EXPECT_EQ(expected, nonblocking) << ranks << " ranks";
     });
   }
 }
 
-TEST(NonblockingCollectives, IreduceBitwiseMatchesBlockingReduce) {
-  // Every segment size must give bitwise-identical sums to the blocking
-  // linear reduce (same ascending-rank fold), including segments that do
-  // not divide the count and a segment larger than the payload.
+TEST(NonblockingCollectives, IreduceBitwiseMatchesReferenceFold) {
+  // Every segment size must give sums bitwise-identical to the
+  // ascending-rank fold, including segments that do not divide the count
+  // and a segment larger than the payload.
+  constexpr int kRanks = 5;
+  constexpr std::size_t kCount = 1000;
+  const std::vector<float> expected =
+      reference_fold(kRanks, kCount, ReduceOp::kSum, signed_payload);
   for (const std::size_t segment : {std::size_t{1}, std::size_t{7},
                                     std::size_t{64}, std::size_t{100000}}) {
-    run_world(5, [segment](Comm& comm) {
-      constexpr std::size_t kCount = 1000;
+    run_world(kRanks, [&expected, segment](Comm& comm) {
       std::vector<float> mine(kCount);
       for (std::size_t i = 0; i < kCount; ++i) {
-        mine[i] = (comm.rank() % 2 == 0 ? 1.0f : -1.0f) *
-                  (1.0f + static_cast<float>(i) * 1e-6f) *
-                  static_cast<float>(1 + comm.rank());
+        mine[i] = signed_payload(comm.rank(), i);
       }
-      std::vector<float> blocking(kCount), nonblocking(kCount);
-      comm.reduce(mine.data(), blocking.data(), kCount, ReduceOp::kSum, 0);
+      std::vector<float> nonblocking(kCount);
       Comm::CollectiveRequest req =
           comm.ireduce(mine.data(), nonblocking.data(), kCount, ReduceOp::kSum,
                        /*root=*/0, segment);
       req.wait();
       if (comm.rank() == 0) {
         for (std::size_t i = 0; i < kCount; ++i) {
-          EXPECT_EQ(blocking[i], nonblocking[i])
+          EXPECT_EQ(expected[i], nonblocking[i])
               << "segment " << segment << ", element " << i;
         }
       }
@@ -190,8 +222,8 @@ TEST(NonblockingCollectives, InterleaveWithPointToPointAndCollectives) {
         const int left = (comm.rank() + p - 1) % p;
         int token = comm.rank() * 1000 + round;
         int from_left = -1;
-        comm.sendrecv(right, &token, left, &from_left, sizeof(int),
-                      /*tag=*/round);
+        comm.send(right, /*tag=*/round, &token, sizeof(int));
+        comm.recv(left, /*tag=*/round, &from_left, sizeof(int));
         EXPECT_EQ(from_left, left * 1000 + round);
 
         // A blocking collective initiated while both requests are in
@@ -287,38 +319,29 @@ TEST(NonblockingCollectives, RankAbortMidIallgatherUnblocksTheWorld) {
       Error);
 }
 
-TEST(NonblockingCollectives, TreeFanInBitwiseMatchesLinearAndBlocking) {
+TEST(NonblockingCollectives, TreeFanInBitwiseMatchesReferenceFold) {
   // The tree relays only concatenate; the root folds ascending-rank — so
-  // the tree fan-in must equal both the linear ireduce and the blocking
-  // reduce bit for bit, on every world size (power-of-two and not) and
-  // segment size.
+  // the tree fan-in must equal the reference fold bit for bit, on every
+  // world size (power-of-two and not) and segment size.
+  constexpr std::size_t kCount = 1000;
   for (int ranks : {1, 2, 3, 4, 5, 7, 8}) {
+    const std::vector<float> expected =
+        reference_fold(ranks, kCount, ReduceOp::kSum, signed_payload);
     for (const std::size_t segment :
          {std::size_t{1}, std::size_t{7}, std::size_t{64},
           std::size_t{100000}}) {
-      run_world(ranks, [ranks, segment](Comm& comm) {
-        constexpr std::size_t kCount = 1000;
+      run_world(ranks, [&expected, ranks, segment](Comm& comm) {
         std::vector<float> mine(kCount);
         for (std::size_t i = 0; i < kCount; ++i) {
-          mine[i] = (comm.rank() % 2 == 0 ? 1.0f : -1.0f) *
-                    (1.0f + static_cast<float>(i) * 1e-6f) *
-                    static_cast<float>(1 + comm.rank());
+          mine[i] = signed_payload(comm.rank(), i);
         }
-        std::vector<float> blocking(kCount), linear(kCount), tree(kCount);
-        comm.reduce(mine.data(), blocking.data(), kCount, ReduceOp::kSum, 0);
-        Comm::CollectiveRequest lin =
-            comm.ireduce(mine.data(), linear.data(), kCount, ReduceOp::kSum,
-                         0, segment, {}, ReduceAlgo::kLinear);
-        lin.wait();
-        Comm::CollectiveRequest tr =
-            comm.ireduce(mine.data(), tree.data(), kCount, ReduceOp::kSum, 0,
-                         segment, {}, ReduceAlgo::kTree);
-        tr.wait();
+        std::vector<float> tree(kCount);
+        comm.ireduce(mine.data(), tree.data(), kCount, ReduceOp::kSum, 0,
+                     segment)
+            .wait();
         if (comm.rank() == 0) {
           for (std::size_t i = 0; i < kCount; ++i) {
-            ASSERT_EQ(blocking[i], linear[i])
-                << ranks << " ranks, segment " << segment << ", element " << i;
-            ASSERT_EQ(blocking[i], tree[i])
+            ASSERT_EQ(expected[i], tree[i])
                 << ranks << " ranks, segment " << segment << ", element " << i;
           }
         }
@@ -329,29 +352,30 @@ TEST(NonblockingCollectives, TreeFanInBitwiseMatchesLinearAndBlocking) {
 
 TEST(NonblockingCollectives, TreeFanInNonZeroRootAllOps) {
   // Rotated tree: non-zero roots exercise the vrank mapping; max/min and
-  // sum must all match the blocking reference exactly.
+  // sum must all match the reference fold exactly.
+  constexpr int kRanks = 6;
+  constexpr std::size_t kCount = 97;
+  const auto payload = [](int rank, std::size_t i) {
+    return static_cast<float>((rank * 13 + static_cast<int>(i)) % 29) - 7.0f;
+  };
   for (int root : {1, 3, 5}) {
-    run_world(6, [root](Comm& comm) {
-      constexpr std::size_t kCount = 97;
+    run_world(kRanks, [&payload, root](Comm& comm) {
       std::vector<float> mine(kCount);
       for (std::size_t i = 0; i < kCount; ++i) {
-        mine[i] = static_cast<float>((comm.rank() * 13 + static_cast<int>(i)) %
-                                     29) -
-                  7.0f;
+        mine[i] = payload(comm.rank(), i);
       }
       for (const ReduceOp op :
            {ReduceOp::kSum, ReduceOp::kMax, ReduceOp::kMin}) {
-        std::vector<float> blocking(kCount), tree(kCount);
-        comm.reduce(mine.data(),
-                    comm.rank() == root ? blocking.data() : nullptr, kCount,
-                    op, root);
+        std::vector<float> tree(kCount);
         Comm::CollectiveRequest req = comm.ireduce(
             mine.data(), comm.rank() == root ? tree.data() : nullptr, kCount,
-            op, root, /*segment_floats=*/16, {}, ReduceAlgo::kTree);
+            op, root, /*segment_floats=*/16);
         req.wait();
         if (comm.rank() == root) {
+          const std::vector<float> expected =
+              reference_fold(kRanks, kCount, op, payload);
           for (std::size_t i = 0; i < kCount; ++i) {
-            ASSERT_EQ(blocking[i], tree[i]) << "root " << root << ", element "
+            ASSERT_EQ(expected[i], tree[i]) << "root " << root << ", element "
                                             << i;
           }
         }
@@ -377,8 +401,7 @@ TEST(NonblockingCollectives, TreeFanInSegmentCallbackStreamsPrefixes) {
                 }
                 seen.emplace_back(off, len);
               })
-            : Comm::SegmentCallback{},
-        ReduceAlgo::kTree);
+            : Comm::SegmentCallback{});
     req.wait();
     if (comm.rank() == 0) {
       ASSERT_EQ(seen.size(), 3u);
@@ -394,54 +417,49 @@ TEST(NonblockingCollectives, TwoConcurrentIreduceEpochsDifferentSegments) {
   // MULTIPLE ireduce epochs in flight on one communicator — each epoch
   // reserves its own block at initiation, sized by ITS segment count — so
   // per-volume epochs compose in the streaming pipeline. Waits run in
-  // initiation-reversed order, with different segment sizes, roots, and
-  // fan-ins per epoch.
-  for (const auto& algos :
-       {std::pair{ReduceAlgo::kLinear, ReduceAlgo::kLinear},
-        std::pair{ReduceAlgo::kTree, ReduceAlgo::kTree},
-        std::pair{ReduceAlgo::kTree, ReduceAlgo::kLinear}}) {
-    run_world(4, [algos](Comm& comm) {
-      constexpr std::size_t kCountA = 1000;
-      constexpr std::size_t kCountB = 333;
-      std::vector<float> a(kCountA), b(kCountB);
-      for (std::size_t i = 0; i < kCountA; ++i) {
-        a[i] = static_cast<float>(comm.rank() + 1) +
-               static_cast<float>(i) * 0.25f;
-      }
-      for (std::size_t i = 0; i < kCountB; ++i) {
-        b[i] = static_cast<float>(10 * (comm.rank() + 1)) -
-               static_cast<float>(i) * 0.5f;
-      }
-      std::vector<float> ref_a(kCountA), ref_b(kCountB);
-      comm.reduce(a.data(), comm.rank() == 0 ? ref_a.data() : nullptr,
-                  kCountA, ReduceOp::kSum, 0);
-      comm.reduce(b.data(), comm.rank() == 2 ? ref_b.data() : nullptr,
-                  kCountB, ReduceOp::kSum, 2);
+  // initiation-reversed order, with different segment sizes and roots per
+  // epoch.
+  constexpr int kRanks = 4;
+  constexpr std::size_t kCountA = 1000;
+  constexpr std::size_t kCountB = 333;
+  const auto payload_a = [](int rank, std::size_t i) {
+    return static_cast<float>(rank + 1) + static_cast<float>(i) * 0.25f;
+  };
+  const auto payload_b = [](int rank, std::size_t i) {
+    return static_cast<float>(10 * (rank + 1)) - static_cast<float>(i) * 0.5f;
+  };
+  const std::vector<float> ref_a =
+      reference_fold(kRanks, kCountA, ReduceOp::kSum, payload_a);
+  const std::vector<float> ref_b =
+      reference_fold(kRanks, kCountB, ReduceOp::kSum, payload_b);
+  run_world(kRanks, [&](Comm& comm) {
+    std::vector<float> a(kCountA), b(kCountB);
+    for (std::size_t i = 0; i < kCountA; ++i) a[i] = payload_a(comm.rank(), i);
+    for (std::size_t i = 0; i < kCountB; ++i) b[i] = payload_b(comm.rank(), i);
 
-      std::vector<float> out_a(comm.rank() == 0 ? kCountA : 0);
-      std::vector<float> out_b(comm.rank() == 2 ? kCountB : 0);
-      // Epoch A: 7-float segments (143 tags). Epoch B, initiated while A is
-      // outstanding: 50-float segments (7 tags), different root.
-      Comm::CollectiveRequest ra = comm.ireduce(
-          a.data(), comm.rank() == 0 ? out_a.data() : nullptr, kCountA,
-          ReduceOp::kSum, 0, /*segment_floats=*/7, {}, algos.first);
-      Comm::CollectiveRequest rb = comm.ireduce(
-          b.data(), comm.rank() == 2 ? out_b.data() : nullptr, kCountB,
-          ReduceOp::kSum, 2, /*segment_floats=*/50, {}, algos.second);
-      rb.wait();  // initiation-reversed wait order (identical on all ranks)
-      ra.wait();
-      if (comm.rank() == 0) {
-        for (std::size_t i = 0; i < kCountA; ++i) {
-          ASSERT_EQ(out_a[i], ref_a[i]) << "epoch A element " << i;
-        }
+    std::vector<float> out_a(comm.rank() == 0 ? kCountA : 0);
+    std::vector<float> out_b(comm.rank() == 2 ? kCountB : 0);
+    // Epoch A: 7-float segments (143 tags). Epoch B, initiated while A is
+    // outstanding: 50-float segments (7 tags), different root.
+    Comm::CollectiveRequest ra = comm.ireduce(
+        a.data(), comm.rank() == 0 ? out_a.data() : nullptr, kCountA,
+        ReduceOp::kSum, 0, /*segment_floats=*/7);
+    Comm::CollectiveRequest rb = comm.ireduce(
+        b.data(), comm.rank() == 2 ? out_b.data() : nullptr, kCountB,
+        ReduceOp::kSum, 2, /*segment_floats=*/50);
+    rb.wait();  // initiation-reversed wait order (identical on all ranks)
+    ra.wait();
+    if (comm.rank() == 0) {
+      for (std::size_t i = 0; i < kCountA; ++i) {
+        ASSERT_EQ(out_a[i], ref_a[i]) << "epoch A element " << i;
       }
-      if (comm.rank() == 2) {
-        for (std::size_t i = 0; i < kCountB; ++i) {
-          ASSERT_EQ(out_b[i], ref_b[i]) << "epoch B element " << i;
-        }
+    }
+    if (comm.rank() == 2) {
+      for (std::size_t i = 0; i < kCountB; ++i) {
+        ASSERT_EQ(out_b[i], ref_b[i]) << "epoch B element " << i;
       }
-    });
-  }
+    }
+  });
 }
 
 TEST(NonblockingCollectives, RankAbortMidTreeIreduceUnblocksTheWorld) {
@@ -459,8 +477,7 @@ TEST(NonblockingCollectives, RankAbortMidTreeIreduceUnblocksTheWorld) {
                   }
                   Comm::CollectiveRequest req = comm.ireduce(
                       mine.data(), comm.rank() == 0 ? out.data() : nullptr,
-                      kCount, ReduceOp::kSum, 0, /*segment_floats=*/64, {},
-                      ReduceAlgo::kTree);
+                      kCount, ReduceOp::kSum, 0, /*segment_floats=*/64);
                   req.wait();
                 }),
       Error);

@@ -132,12 +132,11 @@ TEST(PlanProperties, BudgetsAndBytesAreConsistent) {
               plan.slab_floats());
     EXPECT_EQ(plan.reduce_tag_budget(), segments);
 
-    // Gather budgets: one ring (R-1 tags) per round; zero when fused.
-    EXPECT_EQ(plan.gather_tags_per_round(false),
+    // Gather budgets: one ring (R-1 tags) per round.
+    EXPECT_EQ(plan.gather_tags_per_round(),
               static_cast<std::uint64_t>(plan.grid.rows - 1));
-    EXPECT_EQ(plan.gather_tag_budget(false),
+    EXPECT_EQ(plan.gather_tag_budget(),
               plan.rounds * static_cast<std::uint64_t>(plan.grid.rows - 1));
-    EXPECT_EQ(plan.gather_tag_budget(true), 0u);
 
     // Byte accounting matches the shapes.
     EXPECT_EQ(plan.allgather_bytes_per_round(),
@@ -154,14 +153,12 @@ TEST(PlanTagBudget, LiveEpochNeverExceedsTheBudget) {
   // Drive a real minimpi world through the collectives one streaming epoch
   // issues — plan.rounds ring AllGathers on the column comm, one segmented
   // ireduce on the row comm — and check the live tag counter against the
-  // plan's budgets. Swept over random cases and both fan-ins.
+  // plan's budgets. Swept over random cases.
   Rng rng(0x5eed0004);
   for (int trial = 0; trial < 8; ++trial) {
     const RandomCase c = random_case(rng);
     const DecompositionPlan plan =
         DecompositionPlan::make(c.geometry, c.options);
-    const mpi::ReduceAlgo algo = trial % 2 == 0 ? mpi::ReduceAlgo::kTree
-                                                : mpi::ReduceAlgo::kLinear;
 
     mpi::run_world(plan.ranks(), [&](mpi::Comm& world) {
       const int rank = world.rank();
@@ -183,8 +180,8 @@ TEST(PlanTagBudget, LiveEpochNeverExceedsTheBudget) {
       }
       const std::uint64_t col_used =
           col_comm.collective_tags_reserved() - col_before;
-      EXPECT_LE(col_used, plan.gather_tag_budget(/*fused=*/false));
-      EXPECT_EQ(col_used, plan.gather_tag_budget(/*fused=*/false));
+      EXPECT_LE(col_used, plan.gather_tag_budget());
+      EXPECT_EQ(col_used, plan.gather_tag_budget());
 
       // Row epoch: one segmented ireduce of the slab pair.
       const std::uint64_t row_before = row_comm.collective_tags_reserved();
@@ -193,7 +190,7 @@ TEST(PlanTagBudget, LiveEpochNeverExceedsTheBudget) {
       row_comm
           .ireduce(partial.data(), col == 0 ? reduced.data() : nullptr,
                    partial.size(), mpi::ReduceOp::kSum, /*root=*/0,
-                   plan.reduce_segment_floats, {}, algo)
+                   plan.reduce_segment_floats)
           .wait();
       const std::uint64_t row_used =
           row_comm.collective_tags_reserved() - row_before;

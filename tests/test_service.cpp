@@ -3,8 +3,9 @@
 // (2) dispatch by priority then EDF-within-band — a deadline can never
 // promote a job across priority bands, (3) isolate per-job failures while
 // batch-mates and later jobs store bit-exactly, and (4) produce volumes
-// bitwise-identical to sequential run_distributed calls, including across
-// grid re-splits and an injected PFS write failure (the PR acceptance run).
+// bitwise-identical to the sequential FDK oracle (fdk_oracle.h), including
+// across grid re-splits and an injected PFS write failure (the PR
+// acceptance run).
 // The consolidated validation messages (IfdkOptions::validate /
 // JobSpec::validate) are pinned here across all three entry points.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "common/error.h"
 #include "common/math_util.h"
+#include "fdk_oracle.h"
 #include "ifdk/framework.h"
 #include "iterative/distributed.h"
 #include "phantom/phantom.h"
@@ -73,14 +75,16 @@ void stage_jobs(pfs::ParallelFileSystem& fs,
   }
 }
 
-/// The sequential reference: one run_distributed per job, same options.
-void run_sequential(const std::vector<ServiceJob>& jobs,
-                    pfs::ParallelFileSystem& fs, IfdkOptions options) {
-  for (const ServiceJob& job : jobs) {
-    options.input_prefix = job.spec.input_prefix;
-    options.output_prefix = job.spec.output_prefix;
-    run_distributed(job.g, fs, options);
-  }
+/// Pins an FDK job's volume as stored in `fs` memcmp-equal to the oracle's
+/// reconstruction of the same projections under `options`.
+void expect_job_matches_oracle(const pfs::ParallelFileSystem& fs,
+                               const ServiceJob& job,
+                               const IfdkOptions& options,
+                               const std::string& context) {
+  EXPECT_TRUE(bitwise_equal(
+      fdk_oracle(job.g, job.projections, options),
+      load_volume(fs, job.spec.output_prefix, job.g.vol_dims())))
+      << context;
 }
 
 void expect_bitwise_equal_job(const pfs::ParallelFileSystem& a,
@@ -265,9 +269,6 @@ TEST(ServiceFailure, FailedJobIsIsolatedAndHealthyJobsStoreBitExactly) {
   IfdkOptions run_opts;
   run_opts.ranks = 4;
   run_opts.rows = 2;
-  pfs::ParallelFileSystem fs_seq;
-  stage_jobs(fs_seq, jobs);
-  run_sequential(jobs, fs_seq, run_opts);
 
   VolumeWriteFailFs fs(jobs[1].spec.output_prefix);
   stage_jobs(fs, jobs);
@@ -286,8 +287,10 @@ TEST(ServiceFailure, FailedJobIsIsolatedAndHealthyJobsStoreBitExactly) {
       << handles[1].error();
   EXPECT_EQ(handles[2].wait(), JobState::kStored) << handles[2].error();
 
-  expect_bitwise_equal_job(fs_seq, fs, jobs[0], "behind a failed batch-mate");
-  expect_bitwise_equal_job(fs_seq, fs, jobs[2], "behind a failed batch-mate");
+  for (const std::size_t healthy : {std::size_t{0}, std::size_t{2}}) {
+    expect_job_matches_oracle(fs, jobs[healthy], run_opts,
+                              "behind a failed batch-mate");
+  }
 
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.stored, 2u);
@@ -306,8 +309,8 @@ TEST(ServiceAcceptance, MixedPriorityJobsMatchSequentialBitwise) {
   // N mixed-priority jobs through one service, including (a) a geometry
   // whose plan resolves a different R (forcing a grid re-split between
   // batches) and (b) one job with an injected PFS write failure. Every
-  // healthy job's volume must be bitwise-identical to a sequential
-  // run_distributed call; the failed job is reported on its handle.
+  // healthy job's volume must be bitwise-identical to the sequential
+  // oracle; the failed job is reported on its handle.
   const auto geom_a = small_geometry();  // R=1 under the budget below
   const auto geom_b =
       geo::make_standard_geometry({{32, 32, 16}, {12, 12, 16}});  // R=2
@@ -335,10 +338,6 @@ TEST(ServiceAcceptance, MixedPriorityJobsMatchSequentialBitwise) {
   jobs[4].spec.priority = 2;
   jobs[4].spec.deadline_s = 10.0;
   for (ServiceJob& job : jobs) job.spec.geometry = job.g;
-
-  pfs::ParallelFileSystem fs_seq;
-  stage_jobs(fs_seq, jobs);
-  run_sequential(jobs, fs_seq, run_opts);
 
   VolumeWriteFailFs fs(jobs[2].spec.output_prefix);
   stage_jobs(fs, jobs);
@@ -369,8 +368,8 @@ TEST(ServiceAcceptance, MixedPriorityJobsMatchSequentialBitwise) {
                                     std::size_t{3}, std::size_t{4}}) {
     EXPECT_EQ(handles[healthy].state(), JobState::kStored)
         << "job " << healthy << ": " << handles[healthy].error();
-    expect_bitwise_equal_job(fs_seq, fs, jobs[healthy],
-                             "job " + std::to_string(healthy));
+    expect_job_matches_oracle(fs, jobs[healthy], run_opts,
+                              "job " + std::to_string(healthy));
   }
   EXPECT_EQ(handles[2].state(), JobState::kFailed);
   EXPECT_NE(handles[2].error().find("injected PFS write failure"),
