@@ -586,17 +586,12 @@ int main(int argc, char** argv) {
                  "    \"reduce_segments\": %llu,\n"
                  "    \"allgather_bytes_per_round\": %llu,\n"
                  "    \"reduce_bytes_per_epoch\": %llu,\n"
-                 "    \"gather_tag_budget\": %llu,\n"
-                 "    \"reduce_tag_budget\": %llu,\n"
                  "    \"device_bytes\": %llu\n"
                  "  }\n}\n",
                  static_cast<unsigned long long>(plan.reduce_segments()),
                  static_cast<unsigned long long>(
                      plan.allgather_bytes_per_round()),
                  static_cast<unsigned long long>(plan.reduce_bytes_per_epoch()),
-                 static_cast<unsigned long long>(
-                     plan.gather_tag_budget()),
-                 static_cast<unsigned long long>(plan.reduce_tag_budget()),
                  static_cast<unsigned long long>(plan.device_bytes()));
   }
   std::fclose(out);

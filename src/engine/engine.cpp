@@ -40,15 +40,6 @@ std::string object_name(const std::string& prefix, std::size_t index) {
   return prefix + buf;
 }
 
-void assert_tag_budget(std::uint64_t before, std::uint64_t after,
-                       std::uint64_t budget, const char* what) {
-  const std::uint64_t window = mpi::Comm::kCollectiveTagWindow;
-  const std::uint64_t offset = before % window;
-  const std::uint64_t allowed =
-      offset + budget <= window ? budget : budget + (window - offset);
-  IFDK_ASSERT_MSG(after - before <= allowed, what);
-}
-
 mpi::WireCodec make_wire_codec(WireStats* stats) {
   mpi::WireCodec codec;
   codec.encode = [stats](const float* data, std::size_t count) {

@@ -19,8 +19,6 @@
 //     pick_root_cause(): real failures beat world-abort symptoms beat
 //     queue-shutdown symptoms, so the faulty rank's real error wins at
 //     run_world no matter which rank's body exits first;
-//   * assert_tag_budget() — the per-epoch collective tag-budget assertion
-//     that lets any number of epochs compose on long-lived communicators;
 //   * object_name() / extract_zmajor_slice() — the PFS naming convention and
 //     the shared z-major -> slice-major permutation the bitwise-equivalence
 //     guarantees depend on.
@@ -32,7 +30,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -74,14 +71,6 @@ std::exception_ptr pick_root_cause(std::span<const std::exception_ptr> errors);
 /// as a fixed six-digit decimal — projections, slices, and every staged
 /// object in the repo use this one formatter.
 std::string object_name(const std::string& prefix, std::size_t index);
-
-/// Asserts one epoch's collective-tag consumption against a plan budget
-/// (the "budget >= actual traffic" invariant). Reservations are sequential,
-/// so at most one deterministic wrap skip (< window) can land inside an
-/// epoch, and only when the budget does not fit before the window top —
-/// the check is exact in both cases.
-void assert_tag_budget(std::uint64_t before, std::uint64_t after,
-                       std::uint64_t budget, const char* what);
 
 /// Extracts slice `local_k` of a z-major slab pair into a slice-major
 /// destination. Shared by every pipeline path: the bitwise-equivalence

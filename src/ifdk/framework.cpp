@@ -13,7 +13,7 @@
 #include "common/error.h"
 #include "engine/engine.h"
 #include "fft/fft.h"
-#include "gpusim/kernel_model.h"
+#include "gpusim/device.h"
 #include "minimpi/minimpi.h"
 
 namespace ifdk {
@@ -73,20 +73,12 @@ IfdkStats run_distributed(const geo::CbctGeometry& geometry,
   // back to this API's throwing contract: the one volume's failure IS the
   // run's failure.
   const JobSpec job{options.input_prefix, options.output_prefix, {}};
-  const StreamingStats streamed =
+  StreamingStats streamed =
       stream_core(geometry, fs, options, std::span<const JobSpec>(&job, 1));
   if (!streamed.volume_errors[0].empty()) {
     throw IoError(streamed.volume_errors[0]);
   }
-  IfdkStats out;
-  out.grid = streamed.grid;
-  out.wall = streamed.wall;
-  out.device_model = streamed.device_model;
-  out.overlap_efficiency = streamed.overlap_efficiency;
-  out.wall_total = streamed.wall_total;
-  out.wire_raw_bytes = streamed.wire_raw_bytes;
-  out.wire_encoded_bytes = streamed.wire_encoded_bytes;
-  return out;
+  return streamed;
 }
 
 namespace {
@@ -98,9 +90,6 @@ struct StreamRankStats {
   /// load+filter+gather+bp span ("compute"), written by the Bp-thread and
   /// read after its join.
   double compute = 0;
-  double v_h2d = 0;    ///< modeled PCIe H2D seconds (device ledger)
-  double v_kernel = 0; ///< modeled V100 kernel seconds
-  double v_d2h = 0;    ///< modeled PCIe D2H seconds
   std::vector<std::string> volume_errors;  ///< row roots only; "" = stored
   /// This rank's framed reduce-encoder traffic (zero unless compress_wire).
   engine::WireStats wire;
@@ -133,8 +122,8 @@ class FdkStreamWorkload final : public engine::Workload {
     rank_stats_.resize(static_cast<std::size_t>(options.ranks));
   }
 
-  /// Workload-owned per-rank results (device ledger, compute span,
-  /// per-volume store errors), merged by the caller.
+  /// Workload-owned per-rank results (compute span, wire traffic,
+  /// per-volume store outcomes), merged by the caller.
   const StreamRankStats& rank_stats(std::size_t rank) const {
     return rank_stats_[rank];
   }
@@ -180,7 +169,6 @@ class FdkStreamWorkload final : public engine::Workload {
     gpusim::DeviceBuffer reduce_slab_buf =
         device.allocate(n_volumes > 1 ? max_slab_bytes : 0);
     gpusim::DeviceBuffer batch_buf = device.allocate(max_batch_bytes);
-    gpusim::KernelModel kernel_model;
 
     struct Filtered {
       std::size_t vol;
@@ -288,9 +276,6 @@ class FdkStreamWorkload final : public engine::Workload {
             prepare_volume(current_vol);
             prepared = true;
           }
-          for (const Filtered& f : round->images) {
-            device.charge_h2d(f.image.bytes());
-          }
           std::vector<Image2D> images;
           std::vector<geo::Mat34> mats;
           images.reserve(round->images.size());
@@ -302,13 +287,7 @@ class FdkStreamWorkload final : public engine::Workload {
           bp_timer.time("backprojection", [&] {
             backprojector->accumulate(slab, images, mats);
           });
-          const Problem sub{
-              {plan.geometry.nu, plan.geometry.nv, images.size()},
-              {plan.geometry.nx, plan.geometry.ny, 2 * plan.slab_h}};
-          device.charge_kernel(
-              kernel_model.kernel_seconds(bp::KernelVariant::kL1Tran, sub));
           if (++rounds_done == plan.rounds) {
-            bp_timer.time("d2h", [&] { device.charge_d2h(slab.bytes()); });
             if (!q_slabs.push(SlabPair{current_vol, std::move(slab)})) {
               throw QueueClosedError(
                   "iFDK streaming: slab queue closed before all volumes were "
@@ -403,18 +382,12 @@ class FdkStreamWorkload final : public engine::Workload {
               }
             };
           }
-          const std::uint64_t tags_before =
-              row_comm.collective_tags_reserved();
           mpi::Comm::CollectiveRequest req = row_comm.ireduce(
               partial.data(), col == 0 ? reduced.data() : nullptr,
               partial.size(), mpi::ReduceOp::kSum, /*root=*/0,
               options.reduce_segment_floats, std::move(on_segment),
               options.compress_wire ? &wire_codec : nullptr);
           reduce_timer.time("reduce", [&] { req.wait(); });
-          engine::assert_tag_budget(
-              tags_before, row_comm.collective_tags_reserved(),
-              plan.reduce_tag_budget(),
-              "row-reduce epoch exceeded the plan's tag budget");
           if (col == 0) {
             reduce_timer.time("store", [&] {
               stats.volume_errors[v] = writers.finish_volume(v);
@@ -477,8 +450,6 @@ class FdkStreamWorkload final : public engine::Workload {
         const int row = plan.row_of(rank);
         const int col = plan.col_of(rank);
         mpi::Comm& col_comm = epoch_comms.of(v).col;
-        const std::uint64_t tags_before =
-            col_comm.collective_tags_reserved();
         for (std::size_t t = 0; t < plan.rounds; ++t, ++g) {
           auto mine = q_filtered.pop();
           if (!mine.has_value()) {
@@ -503,12 +474,6 @@ class FdkStreamWorkload final : public engine::Workload {
           pending_t = t;
           pending_buf = g % 2;
         }
-        // All of volume v's rings are initiated (and their tags reserved)
-        // by now, even though the last one may still be in flight.
-        engine::assert_tag_budget(
-            tags_before, col_comm.collective_tags_reserved(),
-            plan.gather_tag_budget(),
-            "column gather epoch exceeded the plan's tag budget");
       }
       if (pending.valid()) {
         main_timer.time("allgather", [&] { pending.wait(); });
@@ -547,9 +512,6 @@ class FdkStreamWorkload final : public engine::Workload {
     ctx.wall.merge(reduce_timer);
     ctx.wall.set_max("store", store_busy);
     ctx.wall.add("compute", stats.compute);
-    stats.v_h2d = device.virtual_h2d_seconds();
-    stats.v_kernel = device.virtual_kernel_seconds();
-    stats.v_d2h = device.virtual_d2h_seconds();
     ctx.total = rank_timer.seconds();
     if (ctx.total > 0) {
       ctx.efficiency.add(
@@ -659,9 +621,6 @@ StreamingStats stream_core(const geo::CbctGeometry& geometry,
   std::vector<pfs::StreamStats> store(n_volumes);
   for (std::size_t r = 0; r < static_cast<std::size_t>(options.ranks); ++r) {
     const StreamRankStats& rs = workload.rank_stats(r);
-    out.device_model.set_max("v_h2d", rs.v_h2d);
-    out.device_model.set_max("v_kernel", rs.v_kernel);
-    out.device_model.set_max("v_d2h", rs.v_d2h);
     out.wire_raw_bytes += rs.wire.raw_bytes;
     out.wire_encoded_bytes += rs.wire.encoded_bytes;
     for (std::size_t v = 0; v < n_volumes; ++v) {

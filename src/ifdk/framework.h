@@ -40,7 +40,7 @@
 //
 // Wall-clock per stage is recorded per rank and merged, along with a
 // per-thread overlap efficiency (busy/wall); a gpusim::Device per rank
-// enforces the 16 GB memory constraint and keeps the modeled-V100 ledger.
+// enforces the 16 GB memory constraint.
 #pragma once
 
 #include <cstddef>
@@ -64,41 +64,7 @@
 
 namespace ifdk {
 
-struct IfdkStats {
-  /// The R x C grid the run actually used (after Eq. (7) auto-selection).
-  perfmodel::GridShape grid;
-  /// Wall-clock stage seconds, max over ranks (the pipeline-critical rank):
-  /// "load", "filter", "allgather", "backprojection", "d2h", "transpose",
-  /// "reduce", "store", "compute" (load+filter+allgather+bp span).
-  StageTimer wall;
-  /// Modeled V100 seconds summed over the device ledger of the *slowest*
-  /// rank: "v_h2d", "v_kernel", "v_d2h".
-  StageTimer device_model;
-  /// Per-thread overlap efficiency, max over ranks: busy seconds of each
-  /// pipeline thread divided by that rank's wall-clock. Entries:
-  /// "filter_thread" (load+filter), "main_thread" (column gather),
-  /// "bp_thread" (back-projection), "reduce_thread" (transpose + row
-  /// reduce + store drain), "store_thread" (async writer). An efficiency
-  /// near 1 means the thread — and therefore its stage — is the pipeline
-  /// bottleneck; the paper's overlap claim holds when bp_thread dominates.
-  StageTimer overlap_efficiency;
-  double wall_total = 0;
-  /// Bytes the framed row-reduce encoder was fed, summed over ranks
-  /// (0 unless IfdkOptions::compress_wire).
-  std::size_t wire_raw_bytes = 0;
-  /// Frame bytes that actually went on the wire (headers included).
-  std::size_t wire_encoded_bytes = 0;
-  /// Achieved wire compression ratio raw/encoded (1 when no framed traffic
-  /// was sent).
-  double wire_ratio() const {
-    return wire_encoded_bytes == 0
-               ? 1.0
-               : static_cast<double>(wire_raw_bytes) /
-                     static_cast<double>(wire_encoded_bytes);
-  }
-};
-
-/// Aggregate result of a run_streaming call.
+/// Aggregate result of a run_streaming (or run_distributed) call.
 struct StreamingStats {
   /// The R x C grid of the FIRST volume (after Eq. (7) auto-selection);
   /// heterogeneous-geometry streams may re-split per volume — see `plans`.
@@ -118,23 +84,23 @@ struct StreamingStats {
   double wall_total = 0;
   /// volumes / wall_total — the streaming throughput headline.
   double volumes_per_second = 0;
-  /// Per-stage busy seconds summed over all volumes, max over ranks:
-  /// "load", "filter", "allgather", "backprojection", "transpose",
-  /// "reduce", "store", "d2h".
+  /// Per-stage busy seconds summed over all volumes, max over ranks (the
+  /// pipeline-critical rank): "load", "filter", "allgather",
+  /// "backprojection", "transpose", "reduce", "store", and "compute" (the
+  /// load+filter+allgather+bp span).
   StageTimer wall;
   /// Busy/wall per pipeline thread, max over ranks: "filter_thread"
   /// (load+filter), "main_thread" (column gather), "bp_thread",
   /// "reduce_thread" (transpose + row-reduce + store drain), "store_thread"
-  /// (async writer).
+  /// (async writer). An efficiency near 1 means the thread — and therefore
+  /// its stage — is the pipeline bottleneck; the paper's overlap claim holds
+  /// when bp_thread dominates.
   StageTimer overlap_efficiency;
   /// Per-volume store outcome, merged over row roots: empty string =
   /// every slice of that volume was stored; otherwise the first error the
   /// writer hit. A failed volume never aborts the stream — later volumes
   /// keep flowing and must stay bit-exact (asserted by tests).
   std::vector<std::string> volume_errors;
-  /// Modeled V100 seconds summed over the device ledger of the slowest
-  /// rank, whole stream: "v_h2d", "v_kernel", "v_d2h".
-  StageTimer device_model;
 
   // -- compression accounting -----------------------------------------------
 
@@ -167,6 +133,9 @@ struct StreamingStats {
                      static_cast<double>(store_stored_bytes);
   }
 };
+
+/// run_distributed's result: the one-volume stream's stats.
+using IfdkStats = StreamingStats;
 
 /// Streams `volumes.size()` independent jobs (e.g. a 4D-CT time series)
 /// through ONE rank world: volume v+1's filtering and column gather begin

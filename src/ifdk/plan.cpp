@@ -128,20 +128,6 @@ std::uint64_t DecompositionPlan::reduce_segments() const {
   return (slab_floats() + reduce_segment_floats - 1) / reduce_segment_floats;
 }
 
-std::uint64_t DecompositionPlan::iter_reduce_segments() const {
-  return (volume_floats() + reduce_segment_floats - 1) /
-         reduce_segment_floats;
-}
-
-std::uint64_t DecompositionPlan::iter_iteration_tag_budget(
-    int subsets) const {
-  return static_cast<std::uint64_t>(subsets) * iter_sweep_tag_budget() + 2;
-}
-
-std::uint64_t DecompositionPlan::iter_setup_tag_budget(int subsets) const {
-  return static_cast<std::uint64_t>(subsets) * iter_sweep_tag_budget();
-}
-
 std::uint64_t DecompositionPlan::iter_allreduce_bytes_per_sweep() const {
   return static_cast<std::uint64_t>(volume_floats()) * sizeof(float);
 }
@@ -172,6 +158,19 @@ void DecompositionPlan::check_device_fit(const gpusim::DeviceSpec& spec) const {
         std::to_string(bp_batch) + "-projection batch) but the device has " +
         std::to_string(spec.memory_bytes) + " B; increase rows R (" +
         std::to_string(grid.rows) + ") or shrink the batch");
+  }
+}
+
+void DecompositionPlan::check_iter_device_fit(const gpusim::DeviceSpec& spec,
+                                              int subsets) const {
+  if (iter_device_bytes(subsets) > spec.memory_bytes) {
+    throw DeviceOutOfMemory(
+        "iterative reconstruction needs " +
+        std::to_string(iter_device_bytes(subsets)) +
+        " B of device memory (replicated volume + " +
+        std::to_string(subsets) +
+        " column-norm volume(s) + the view shard) but the device has " +
+        std::to_string(spec.memory_bytes) + " B");
   }
 }
 

@@ -2,8 +2,8 @@
 // as one first-class object.
 //
 // Historically the Eq. (7) row selection, slab-pair extents, column
-// projection sharding, collective tag budgets, and the Section 4.1.5 memory
-// constraint lived as inline arithmetic inside the runtime
+// projection sharding, collective byte accounting, and the Section 4.1.5
+// memory constraint lived as inline arithmetic inside the runtime
 // (src/ifdk/framework.cpp). A DecompositionPlan captures all of them up
 // front — given a CbctGeometry, the decomposition-relevant IfdkOptions, and
 // a gpusim::DeviceSpec — so that three independent consumers act on the
@@ -16,11 +16,10 @@
 //   * the benches (`bench_smoke`'s `plan` JSON block) record it per revision.
 //
 // Invariants are enforced in one place (`check_invariants`, run at
-// construction): the R slab pairs disjointly cover [0, Nz), the R*C
-// projection shards disjointly cover [0, Np), and the per-epoch collective
-// tag budgets bound the traffic the runtime actually reserves through
-// minimpi's `reserve_collective_tags` (asserted per epoch by the runtime and
-// property-tested against a live tag counter in tests/test_plan.cpp).
+// construction): the R slab pairs disjointly cover [0, Nz) and the R*C
+// projection shards disjointly cover [0, Np). The plan knows nothing about
+// collective tags: minimpi matches collectives by call order on each
+// communicator, so any number of epochs compose without a budget.
 #pragma once
 
 #include <cstddef>
@@ -165,29 +164,10 @@ struct DecompositionPlan {
   /// ranks these shards disjointly cover [0, Np) (checked at construction).
   std::vector<std::size_t> projection_shard(int row, int col) const;
 
-  // -- collective message/tag budgets ---------------------------------------
-  //
-  // Budgets bound the collective sequence numbers one volume epoch reserves
-  // through mpi::Comm::reserve_collective_tags. The runtime asserts actual
-  // traffic against them per epoch (observable via
-  // Comm::collective_tags_reserved()), which is what lets any number of
-  // per-volume epochs compose on long-lived communicators.
+  // -- collective messages and bytes ----------------------------------------
 
   /// Segments of one row-ireduce epoch: ceil(slab_floats / segment).
   std::uint64_t reduce_segments() const;
-  /// Collective tags one row-reduce epoch reserves (one per segment).
-  std::uint64_t reduce_tag_budget() const { return reduce_segments(); }
-  /// Collective tags one ring AllGather round reserves on the column
-  /// communicator (p - 1 = R - 1).
-  std::uint64_t gather_tags_per_round() const {
-    return static_cast<std::uint64_t>(grid.rows - 1);
-  }
-  /// Collective tags one full volume epoch reserves on the column
-  /// communicator: rounds * gather_tags_per_round.
-  std::uint64_t gather_tag_budget() const {
-    return static_cast<std::uint64_t>(rounds) * gather_tags_per_round();
-  }
-
   /// Bytes one rank sends per ring-AllGather round: (R - 1) blocks of one
   /// projection each.
   std::uint64_t allgather_bytes_per_round() const;
@@ -195,39 +175,28 @@ struct DecompositionPlan {
   /// pair; tree relays forward concatenations on top of this).
   std::uint64_t reduce_bytes_per_epoch() const { return slab_bytes(); }
 
-  // -- iterative workload budgets (per-iteration collective epochs) ---------
+  // -- iterative workload ---------------------------------------------------
   //
   // The distributed iterative workload (iterative::run_iterative) replicates
   // the volume and shards views, so its collective unit is a volume-wide
   // all-reduce (mpi::Comm::allreduce: segmented tree ireduce to rank 0 +
-  // bcast) instead of the FDK row reduce. The same tag-window discipline
-  // applies: the workload asserts its actual reservations against these
-  // budgets per iteration.
+  // bcast) instead of the FDK row reduce.
 
   /// Floats in one full replicated volume: Nx * Ny * Nz — the payload of
   /// one iterative all-reduce sweep.
   std::size_t volume_floats() const { return slice_px * geometry.nz; }
-  /// Segments of one volume-wide ireduce: ceil(volume_floats / segment).
-  std::uint64_t iter_reduce_segments() const;
-  /// Collective tags one volume all-reduce reserves on the world
-  /// communicator: one per ireduce segment plus one for the bcast back out.
-  std::uint64_t iter_sweep_tag_budget() const {
-    return iter_reduce_segments() + 1;
-  }
-  /// Collective tags one full iteration reserves: one volume all-reduce per
-  /// subset sweep plus the one-segment residual-norm allreduce (one ireduce
-  /// segment + one bcast).
-  std::uint64_t iter_iteration_tag_budget(int subsets) const;
-  /// Collective tags the normalization setup reserves before iterating:
-  /// one volume all-reduce per subset (SART's per-subset B*1 column norms;
-  /// MLEM's single sensitivity volume has subsets = 1).
-  std::uint64_t iter_setup_tag_budget(int subsets) const;
   /// Bytes one rank contributes to one volume all-reduce sweep.
   std::uint64_t iter_allreduce_bytes_per_sweep() const;
   /// Device bytes the iterative workload keeps resident per rank: the
   /// estimate, one update/ratio accumulator, the per-subset column-norm
   /// volumes, plus this rank's projection shard and forward buffer.
   std::uint64_t iter_device_bytes(int subsets) const;
+  /// Throws DeviceOutOfMemory (naming the bytes needed and available) when
+  /// iter_device_bytes(subsets) does not fit `spec.memory_bytes` — the
+  /// iterative counterpart of check_device_fit, shared by run_iterative
+  /// and service admission.
+  void check_iter_device_fit(const gpusim::DeviceSpec& spec,
+                             int subsets) const;
 
   // -- memory constraint (Section 4.1.5) ------------------------------------
 

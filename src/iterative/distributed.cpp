@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -117,7 +116,6 @@ class IterativeWorkload final : public engine::Workload {
     };
 
     // ---- Normalization setup (one all-reduced volume per subset) ----------
-    const std::uint64_t setup_before = world.collective_tags_reserved();
     std::vector<Image2D> ray_norm;   // SART: A*1 for owned views (local)
     std::vector<Volume> vox_norm;    // SART: B_subset*1; MLEM: sensitivity
     ctx.wall.time("normalize", [&] {
@@ -143,10 +141,6 @@ class IterativeWorkload final : public engine::Workload {
         vox_norm.push_back(std::move(norm));
       }
     });
-    engine::assert_tag_budget(
-        setup_before, world.collective_tags_reserved(),
-        plan.iter_setup_tag_budget(is_mlem ? 1 : subsets),
-        "iterative normalization exceeded the plan's setup tag budget");
 
     // ---- Iterate ----------------------------------------------------------
     Volume x(g.nx, g.ny, g.nz, VolumeLayout::kXMajor,
@@ -157,7 +151,6 @@ class IterativeWorkload final : public engine::Workload {
     const double total_pixels =
         static_cast<double>(g.np) * static_cast<double>(plan.pixels);
     for (int it = 0; it < params.iterations; ++it) {
-      const std::uint64_t iter_before = world.collective_tags_reserved();
       double local_sumsq = 0;  // raw (p - A x) over owned views, this sweep
       if (!is_mlem) {
         for (int sub = 0; sub < subsets; ++sub) {
@@ -222,10 +215,6 @@ class IterativeWorkload final : public engine::Workload {
         world.allreduce(&local, &total, 1, mpi::ReduceOp::kSum);
       });
       const double rmse = std::sqrt(static_cast<double>(total) / total_pixels);
-      engine::assert_tag_budget(
-          iter_before, world.collective_tags_reserved(),
-          plan.iter_iteration_tag_budget(is_mlem ? 1 : subsets),
-          "iterative iteration exceeded the plan's tag budget");
       out.residual_rmse.push_back(rmse);
       out.iterations_run = it + 1;
       if (params.stop_rmse > 0 && rmse <= params.stop_rmse) break;
@@ -274,15 +263,7 @@ IterStats run_iterative(const geo::CbctGeometry& geometry,
   const DecompositionPlan plan = DecompositionPlan::make(g, options);
   const int subsets =
       job.iterative.algorithm == Algorithm::kMlem ? 1 : job.iterative.subsets;
-  if (plan.iter_device_bytes(subsets) > options.device.memory_bytes) {
-    throw DeviceOutOfMemory(
-        "iterative reconstruction needs " +
-        std::to_string(plan.iter_device_bytes(subsets)) +
-        " B of device memory (replicated volume + " +
-        std::to_string(subsets) +
-        " column-norm volume(s) + the view shard) but the device has " +
-        std::to_string(options.device.memory_bytes) + " B");
-  }
+  plan.check_iter_device_fit(options.device, subsets);
 
   IterativeWorkload workload(fs, options, job, plan);
   const engine::EngineStats engine_stats =

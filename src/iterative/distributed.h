@@ -59,10 +59,9 @@ struct IterStats {
 /// `<job.input_prefix><s>`, the converged volume's slices are written by
 /// rank 0 to `<job.output_prefix><k>`. The job's geometry override (else
 /// `geometry`) is decomposed by the same DecompositionPlan the FDK runtime
-/// uses; per-iteration collective traffic is asserted against the plan's
-/// iter_* tag budgets. Throws ConfigError on invalid options/job,
-/// DeviceOutOfMemory when the replicated-volume working set exceeds the
-/// device, and IoError on storage failures.
+/// uses. Throws ConfigError on invalid options/job, DeviceOutOfMemory
+/// (DecompositionPlan::check_iter_device_fit) when the replicated-volume
+/// working set exceeds the device, and IoError on storage failures.
 IterStats run_iterative(const geo::CbctGeometry& geometry,
                         pfs::ParallelFileSystem& fs,
                         const IfdkOptions& options, const JobSpec& job);

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <tuple>
@@ -32,34 +32,26 @@ class World {
  public:
   explicit World(int size) : boxes_(static_cast<std::size_t>(size)) {}
 
-  void post(std::uint64_t comm_id, int dest_world, int src_comm_rank, int tag,
-            const void* data, std::size_t bytes) {
+  void post(std::uint64_t comm_id, int dest_world, int src_comm_rank,
+            std::uint64_t tag, const void* data, std::size_t bytes) {
     Mailbox& box = boxes_[static_cast<std::size_t>(dest_world)];
     std::vector<char> payload(bytes);
     if (bytes > 0) std::memcpy(payload.data(), data, bytes);
     {
       std::lock_guard<std::mutex> lock(box.mutex);
       check_alive();
-      box.queues[Key{comm_id, src_comm_rank, tag}].push_back(
-          std::move(payload));
+      // multimap inserts at the end of its key's range, so messages with
+      // one (comm, src, tag) key are matched in arrival order.
+      box.messages.emplace(Key{comm_id, src_comm_rank, tag},
+                           std::move(payload));
     }
     box.cv.notify_all();
   }
 
-  void fetch(std::uint64_t comm_id, int my_world, int src_comm_rank, int tag,
-             void* data, std::size_t bytes) {
-    Mailbox& box = boxes_[static_cast<std::size_t>(my_world)];
-    const Key key{comm_id, src_comm_rank, tag};
-    std::unique_lock<std::mutex> lock(box.mutex);
-    box.cv.wait(lock, [&] {
-      if (aborted_.load(std::memory_order_relaxed)) return true;
-      auto it = box.queues.find(key);
-      return it != box.queues.end() && !it->second.empty();
-    });
-    check_alive();
-    auto& queue = box.queues[key];
-    std::vector<char> payload = std::move(queue.front());
-    queue.pop_front();
+  void fetch(std::uint64_t comm_id, int my_world, int src_comm_rank,
+             std::uint64_t tag, void* data, std::size_t bytes) {
+    const std::vector<char> payload =
+        fetch_any(comm_id, my_world, src_comm_rank, tag);
     IFDK_ASSERT_MSG(payload.size() == bytes,
                     "matched message has a different size than the receive "
                     "buffer (mismatched send/recv pair)");
@@ -70,19 +62,21 @@ class World {
   /// frames are variable-length (a compressed segment's size depends on its
   /// content), so the framed ireduce paths cannot pre-size a receive buffer.
   std::vector<char> fetch_any(std::uint64_t comm_id, int my_world,
-                              int src_comm_rank, int tag) {
+                              int src_comm_rank, std::uint64_t tag) {
     Mailbox& box = boxes_[static_cast<std::size_t>(my_world)];
     const Key key{comm_id, src_comm_rank, tag};
     std::unique_lock<std::mutex> lock(box.mutex);
+    auto it = box.messages.end();
     box.cv.wait(lock, [&] {
       if (aborted_.load(std::memory_order_relaxed)) return true;
-      auto it = box.queues.find(key);
-      return it != box.queues.end() && !it->second.empty();
+      it = box.messages.lower_bound(key);  // the oldest message of the key
+      return it != box.messages.end() && it->first == key;
     });
     check_alive();
-    auto& queue = box.queues[key];
-    std::vector<char> payload = std::move(queue.front());
-    queue.pop_front();
+    std::vector<char> payload = std::move(it->second);
+    // Every matched message leaves the mailbox with its key: collective
+    // tags are never reused, so nothing may stay behind per tag.
+    box.messages.erase(it);
     return payload;
   }
 
@@ -102,12 +96,13 @@ class World {
   }
 
  private:
-  using Key = std::tuple<std::uint64_t, int, int>;  // comm, src rank, tag
+  using Key = std::tuple<std::uint64_t, int, std::uint64_t>;  // comm, src, tag
 
   struct Mailbox {
     std::mutex mutex;
     std::condition_variable cv;
-    std::map<Key, std::deque<std::vector<char>>> queues;
+    /// Unmatched messages, one node each; arrival order within a key.
+    std::multimap<Key, std::vector<char>> messages;
   };
 
   std::vector<Mailbox> boxes_;
@@ -118,12 +113,10 @@ class World {
 
 namespace {
 
-// Collective operations use a reserved tag space far above user tags.
-constexpr int kCollectiveTagBase = 1 << 24;
-
-// The tag window itself is Comm::kCollectiveTagWindow (public, so epoch
-// budget checks can account for the wrap skip); alias it locally.
-constexpr std::uint64_t kCollectiveTagWindow = Comm::kCollectiveTagWindow;
+// Collective tags live above every user tag: a collective's tag is this
+// base plus its per-communicator sequence number, which is 64-bit and never
+// wraps, so no two collectives on one communicator ever share a tag.
+constexpr std::uint64_t kCollectiveTagBase = std::uint64_t{1} << 24;
 
 float apply_op(ReduceOp op, float a, float b) {
   switch (op) {
@@ -143,41 +136,32 @@ Comm::Comm(std::shared_ptr<detail::World> world, std::uint64_t comm_id,
       members_(std::move(members)),
       rank_(rank) {}
 
-int Comm::reserve_collective_tags(std::uint64_t n) {
-  IFDK_ASSERT_MSG(n > 0 && n <= kCollectiveTagWindow,
-                  "collective tag block exceeds the tag window");
-  const std::uint64_t offset = collective_seq_ % kCollectiveTagWindow;
-  if (offset + n > kCollectiveTagWindow) {
-    // Never hand out a block that straddles the window wrap: tags above the
-    // window top would collide with a later epoch's wrapped block while both
-    // are in flight. Skipping to the window start is deterministic — the
-    // sequence counter advances identically on every member.
-    collective_seq_ += kCollectiveTagWindow - offset;
-  }
-  const int tag = kCollectiveTagBase +
-                  static_cast<int>(collective_seq_ % kCollectiveTagWindow);
+std::uint64_t Comm::reserve_collective_tags(std::uint64_t n) {
+  const std::uint64_t tag = kCollectiveTagBase + collective_seq_;
   collective_seq_ += n;
   return tag;
 }
 
 void Comm::send(int dest, int tag, const void* data, std::size_t bytes) {
   IFDK_ASSERT(dest >= 0 && dest < size());
-  IFDK_ASSERT_MSG(tag >= 0 && tag < kCollectiveTagBase,
+  IFDK_ASSERT_MSG(tag >= 0 && static_cast<std::uint64_t>(tag) <
+                                  kCollectiveTagBase,
                   "user tags must be below the collective tag space");
-  world_->post(comm_id_, members_[static_cast<std::size_t>(dest)], rank_, tag,
-               data, bytes);
+  world_->post(comm_id_, members_[static_cast<std::size_t>(dest)], rank_,
+               static_cast<std::uint64_t>(tag), data, bytes);
 }
 
 void Comm::recv(int src, int tag, void* data, std::size_t bytes) {
   IFDK_ASSERT(src >= 0 && src < size());
-  IFDK_ASSERT(tag >= 0 && tag < kCollectiveTagBase);
-  world_->fetch(comm_id_, members_[static_cast<std::size_t>(rank_)], src, tag,
-                data, bytes);
+  IFDK_ASSERT(tag >= 0 &&
+              static_cast<std::uint64_t>(tag) < kCollectiveTagBase);
+  world_->fetch(comm_id_, members_[static_cast<std::size_t>(rank_)], src,
+                static_cast<std::uint64_t>(tag), data, bytes);
 }
 
 void Comm::barrier() {
   // Two-phase flat barrier through rank 0: notify, then release.
-  const int tag = reserve_collective_tags(2);  // notify + release
+  const std::uint64_t tag = reserve_collective_tags(2);  // notify + release
   const int my_world = members_[static_cast<std::size_t>(rank_)];
   char token = 0;
   if (rank_ == 0) {
@@ -196,7 +180,7 @@ void Comm::barrier() {
 
 void Comm::bcast(void* data, std::size_t bytes, int root) {
   IFDK_ASSERT(root >= 0 && root < size());
-  const int tag = reserve_collective_tags(1);
+  const std::uint64_t tag = reserve_collective_tags(1);
   const int my_world = members_[static_cast<std::size_t>(rank_)];
   if (rank_ == root) {
     for (int r = 0; r < size(); ++r) {
@@ -212,7 +196,7 @@ void Comm::bcast(void* data, std::size_t bytes, int root) {
 void Comm::gather(const void* send_data, std::size_t bytes_per_rank,
                   void* recv, int root) {
   IFDK_ASSERT(root >= 0 && root < size());
-  const int tag = reserve_collective_tags(1);
+  const std::uint64_t tag = reserve_collective_tags(1);
   const int my_world = members_[static_cast<std::size_t>(rank_)];
   if (rank_ == root) {
     IFDK_ASSERT_MSG(recv != nullptr, "gather root requires a receive buffer");
@@ -344,7 +328,8 @@ Comm::CollectiveRequest Comm::iallgather_ring(const void* send_data,
 
   // One tag per neighbour step (p-1), reserved *now* so any collective
   // initiated while this one is outstanding gets later tags on every rank.
-  const int tag = reserve_collective_tags(static_cast<std::uint64_t>(p - 1));
+  const std::uint64_t tag =
+      reserve_collective_tags(static_cast<std::uint64_t>(p - 1));
 
   const int next = (rank_ + 1) % p;
   const int prev = (rank_ + p - 1) % p;
@@ -365,10 +350,11 @@ Comm::CollectiveRequest Comm::iallgather_ring(const void* send_data,
       // Block received in step s is the one forwarded in step s+1.
       const int recv_block = (rank + p - s - 1) % p;
       char* block = out + static_cast<std::size_t>(recv_block) * bytes_per_rank;
-      world->fetch(comm_id, my_world, prev, tag + s, block, bytes_per_rank);
+      const std::uint64_t step_tag = tag + static_cast<std::uint64_t>(s);
+      world->fetch(comm_id, my_world, prev, step_tag, block, bytes_per_rank);
       if (s + 1 < p - 1) {
         world->post(comm_id, members[static_cast<std::size_t>(next)], rank,
-                    tag + s + 1, block, bytes_per_rank);
+                    step_tag + 1, block, bytes_per_rank);
       }
     }
   });
@@ -435,8 +421,6 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
                   "every rank)");
   const std::size_t segments =
       count == 0 ? 0 : (count + segment_floats - 1) / segment_floats;
-  IFDK_ASSERT_MSG(segments <= kCollectiveTagWindow,
-                  "ireduce segment count exceeds the collective tag window");
   if (segments == 0) return CollectiveRequest([] {});
   // The codec is copied now (captured by value below): completion lambdas
   // may run long after the caller's WireCodec went out of scope.
@@ -445,10 +429,9 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
                   "ireduce wire codec requires both encode and decode");
   const WireCodec codec = use_wire ? *wire : WireCodec{};
   // Per segment, every non-root vrank sends exactly one message to its
-  // parent, so the budget is one sequence number per segment. Framing
-  // changes message *sizes*, never message *count*, so the budget holds
-  // with a wire codec too.
-  const int tag = reserve_collective_tags(segments);
+  // parent, so the reduce takes one sequence number per segment. Framing
+  // changes message *sizes*, never message *count*.
+  const std::uint64_t tag = reserve_collective_tags(segments);
   const int p = size();
 
   // Contributions climb a binomial tree of virtual ranks (vrank = rank
@@ -471,11 +454,11 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
       if (use_wire) {
         const std::vector<std::uint8_t> frame =
             codec.encode(send_data + offset, len);
-        world_->post(comm_id_, parent, rank_, tag + static_cast<int>(s),
-                     frame.data(), frame.size());
+        world_->post(comm_id_, parent, rank_, tag + s, frame.data(),
+                     frame.size());
       } else {
-        world_->post(comm_id_, parent, rank_, tag + static_cast<int>(s),
-                     send_data + offset, len * sizeof(float));
+        world_->post(comm_id_, parent, rank_, tag + s, send_data + offset,
+                     len * sizeof(float));
       }
     }
     return CollectiveRequest([] {});
@@ -509,13 +492,13 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
           frames = codec.encode(send_data + offset, len);
           for (const int child : children) {
             const int child_rank = (child + root) % p;
-            const std::vector<char> child_block = world->fetch_any(
-                comm_id, my_world, child_rank, tag + static_cast<int>(s));
+            const std::vector<char> child_block =
+                world->fetch_any(comm_id, my_world, child_rank, tag + s);
             frames.insert(frames.end(), child_block.begin(),
                           child_block.end());
           }
-          world->post(comm_id, parent, rank, tag + static_cast<int>(s),
-                      frames.data(), frames.size());
+          world->post(comm_id, parent, rank, tag + s, frames.data(),
+                      frames.size());
           continue;
         }
         std::memcpy(block.data(), send_data + offset, len * sizeof(float));
@@ -523,14 +506,13 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
           const std::size_t child_span =
               static_cast<std::size_t>(tree.span(child));
           const int child_rank = (child + root) % p;
-          world->fetch(comm_id, my_world, child_rank,
-                       tag + static_cast<int>(s),
+          world->fetch(comm_id, my_world, child_rank, tag + s,
                        block.data() +
                            static_cast<std::size_t>(child - vrank) * len,
                        child_span * len * sizeof(float));
         }
-        world->post(comm_id, parent, rank, tag + static_cast<int>(s),
-                    block.data(), span * len * sizeof(float));
+        world->post(comm_id, parent, rank, tag + s, block.data(),
+                    span * len * sizeof(float));
       }
     });
   }
@@ -560,14 +542,13 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
           // One concatenated block of child_span frames, in ascending vrank
           // order — decode them into the same vrank-indexed slots the raw
           // path receives into.
-          const std::vector<char> child_block = world->fetch_any(
-              comm_id, my_world, child_rank, tag + static_cast<int>(s));
+          const std::vector<char> child_block =
+              world->fetch_any(comm_id, my_world, child_rank, tag + s);
           decode_frame_block(
               codec, child_block, child_span, len,
               incoming.data() + static_cast<std::size_t>(child) * len);
         } else {
-          world->fetch(comm_id, my_world, child_rank,
-                       tag + static_cast<int>(s),
+          world->fetch(comm_id, my_world, child_rank, tag + s,
                        incoming.data() + static_cast<std::size_t>(child) * len,
                        child_span * len * sizeof(float));
         }

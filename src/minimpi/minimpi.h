@@ -13,21 +13,22 @@
 //     of split) and allreduce,
 //   * nonblocking collectives: iallgather_ring and a chunked, pipelined
 //     binomial-tree ireduce, each returning a waitable CollectiveRequest
-//     (the overlap primitives of the Fig. 4 pipeline); tag blocks are
-//     reserved at initiation, so any number of collective epochs compose on
-//     one communicator (the streaming-4DCT mode keeps per-volume epochs in
-//     flight),
+//     (the overlap primitives of the Fig. 4 pipeline),
 //   * communicator split (used to form the R x C rank grid of Fig. 3a).
 //
 // Collectives are implemented over point-to-point with deterministic
 // (ascending-rank) reduction, so distributed results are reproducible and
-// comparable against single-node references in tests.
+// comparable against single-node references in tests. Like MPI, collectives
+// are matched by call order on a communicator: each one takes the next
+// numbers of a per-communicator 64-bit sequence at initiation and uses them
+// as its private tags, far above every user tag. The sequence never wraps,
+// so any number of collectives may be outstanding on one communicator and
+// no caller ever accounts for tags.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -88,7 +89,8 @@ class Comm {
   // -- point to point ------------------------------------------------------
 
   /// Blocking (buffered) send: copies `bytes` into the destination mailbox
-  /// and returns. dest is a rank within this communicator.
+  /// and returns. dest is a rank within this communicator; user tags must
+  /// lie in [0, 2^24), below the collective tags (asserted).
   void send(int dest, int tag, const void* data, std::size_t bytes);
 
   /// Blocking receive of exactly `bytes` from `src` with `tag`.
@@ -157,9 +159,9 @@ class Comm {
   /// destruction (asserted; dropping an unwaited handle is tolerated only
   /// while an exception unwinds, i.e. after a world abort). Handles may be
   /// waited out of order with respect to each other and to point-to-point
-  /// traffic: every collective reserves its tag block at *initiation* time,
-  /// so message matching cannot cross between operations regardless of
-  /// completion order.
+  /// traffic: every collective takes its sequence numbers at *initiation*
+  /// time, so message matching cannot cross between operations regardless
+  /// of completion order.
   class CollectiveRequest {
    public:
     CollectiveRequest() = default;
@@ -195,22 +197,15 @@ class Comm {
   /// to amortize per-message cost.
   static constexpr std::size_t kDefaultReduceSegment = std::size_t{1} << 16;
 
-  /// Collective tags live in a window of this many sequence numbers; a tag
-  /// block never straddles the wrap (reserve_collective_tags skips ahead
-  /// deterministically), so two blocks can only collide after a full window
-  /// of intervening traffic. Public so epoch budget checks against
-  /// collective_tags_reserved() can account for the wrap skip exactly.
-  static constexpr std::uint64_t kCollectiveTagWindow = std::uint64_t{1} << 20;
-
   /// Nonblocking ring AllGather (the Fig. 3b column collective): p-1
   /// neighbour-exchange steps, each moving one block — the bandwidth-optimal
   /// algorithm large MPI implementations use for big payloads, and the one
   /// the cluster simulator's cost model assumes. Every rank ends up with the
-  /// rank-ordered concatenation of all contributions. Consumes p-1
-  /// collective sequence numbers, reserved at initiation. The caller's block
-  /// is copied into `recv` and the first neighbour exchange is posted before
-  /// returning, so neighbours that wait early never stall on this rank's
-  /// initiation; the remaining p-2 exchange steps run inside wait().
+  /// rank-ordered concatenation of all contributions. Takes p-1 collective
+  /// sequence numbers at initiation. The caller's block is copied into
+  /// `recv` and the first neighbour exchange is posted before returning, so
+  /// neighbours that wait early never stall on this rank's initiation; the
+  /// remaining p-2 exchange steps run inside wait().
   /// `send_data` may be reused as soon as this call returns; `recv` must
   /// stay alive and untouched until wait() completes.
   CollectiveRequest iallgather_ring(const void* send_data,
@@ -230,19 +225,18 @@ class Comm {
   /// alone folds every element in ascending-rank order (rank 0's
   /// contribution first), so results are deterministic and independent of
   /// the segment size. `segment_floats` must be positive and identical on
-  /// every rank (it determines the number of reserved tags: one per
-  /// segment). `recv` may be null on non-root ranks and must not alias
-  /// `send_data` on the root. Multiple ireduce epochs may be in flight on
-  /// one communicator (each reserves its own tag block at initiation) as
-  /// long as every member initiates them in the same order.
+  /// every rank (it determines the number of messages: one per segment and
+  /// sender, each with its own sequence number). `recv` may be null on
+  /// non-root ranks and must not alias `send_data` on the root. Any number
+  /// of ireduce epochs, of any segment count, may be in flight on one
+  /// communicator as long as every member initiates them in the same order.
   ///
   /// `wire` (must be set on every member or none — frames and raw floats
   /// cannot mix within one reduce) frames each contribution with the given
   /// lossless codec: senders encode, relays concatenate the self-describing
   /// frames verbatim, the root decodes before the fold. The fold order is
   /// untouched, so a lossless codec keeps results bitwise identical to the
-  /// unframed path at unchanged tag budget (one sequence number per segment
-  /// either way). The codec is copied at initiation; the caller's WireCodec
+  /// unframed path. The codec is copied at initiation; the caller's WireCodec
   /// need not outlive the call.
   CollectiveRequest ireduce(const float* send_data, float* recv,
                             std::size_t count, ReduceOp op, int root,
@@ -272,22 +266,10 @@ class Comm {
   /// Element-wise float reduction whose result every rank receives: the
   /// segmented tree ireduce into a scratch buffer on rank 0, then a bcast
   /// of the result. Same ascending-rank fold as ireduce, so every rank holds
-  /// bitwise-identical values. Consumes ceil(count / segment_floats) + 1
-  /// collective sequence numbers. `recv` may alias `send_data`.
+  /// bitwise-identical values. `recv` may alias `send_data`.
   void allreduce(const float* send_data, float* recv, std::size_t count,
                  ReduceOp op,
                  std::size_t segment_floats = kDefaultReduceSegment);
-
-  // -- introspection ---------------------------------------------------------
-
-  /// Collective sequence numbers reserved so far on this communicator
-  /// (every collective claims its exact tag budget through
-  /// reserve_collective_tags at initiation). This is the observable the
-  /// DecompositionPlan tag budgets are checked against: record it before an
-  /// epoch, run the epoch, and the delta must not exceed the plan's budget
-  /// (the runtime asserts this per streaming epoch; tests/test_plan.cpp
-  /// property-tests it). Read it from the thread that drives this Comm.
-  std::uint64_t collective_tags_reserved() const { return collective_seq_; }
 
   // -- error handling --------------------------------------------------------
 
@@ -312,14 +294,13 @@ class Comm {
   Comm(std::shared_ptr<detail::World> world, std::uint64_t comm_id,
        std::vector<int> members, int rank);
 
-  /// Reserves a contiguous block of `n` collective tags and returns the
-  /// first. Every collective (blocking or not) claims its exact tag budget
-  /// through this single choke point at *initiation* time, so any number of
-  /// collective epochs may be outstanding per communicator: blocks never
-  /// interleave, and a block that would straddle the tag-window wrap is
-  /// pushed past it (deterministically — the skip depends only on the
-  /// sequence counter, which advances identically on every member).
-  int reserve_collective_tags(std::uint64_t n);
+  /// Takes the next `n` numbers of this communicator's collective sequence
+  /// and returns the first as a tag (above every user tag). Every
+  /// collective (blocking or not) takes its tags through this single choke
+  /// point at *initiation* time; the sequence advances identically on every
+  /// member and never wraps, so blocks never overlap however many
+  /// collectives are outstanding.
+  std::uint64_t reserve_collective_tags(std::uint64_t n);
 
   std::shared_ptr<detail::World> world_;
   std::uint64_t comm_id_ = 0;

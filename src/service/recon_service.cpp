@@ -9,7 +9,6 @@
 
 #include "ifdk/framework.h"
 #include "iterative/distributed.h"
-#include "minimpi/minimpi.h"
 
 namespace ifdk::service {
 
@@ -243,56 +242,20 @@ JobHandle ReconService::submit(JobSpec spec) {
       is_iterative ? 1 : kResidentSlabs);
 
   // Admission, phase 2: can this plan ever run here? Device fit (§4.1.5,
-  // against the workload's actual working set) and the per-epoch collective
-  // tag budgets against the communicator window. Rejections are typed
+  // against the workload's actual working set). Rejections are typed
   // AdmissionErrors naming the numbers and are counted, never queued.
-  auto reject = [&](const std::string& why) -> AdmissionError {
+  try {
+    if (is_iterative) {
+      plan.check_iter_device_fit(options_.ifdk.device,
+                                 effective_subsets(spec));
+    } else {
+      plan.check_device_fit(options_.ifdk.device);
+    }
+  } catch (const DeviceOutOfMemory& e) {
     std::lock_guard lock(state_->mu);
     ++state_->rejected;
-    return AdmissionError("job rejected at admission: " + why);
-  };
-  const std::uint64_t window = mpi::Comm::kCollectiveTagWindow;
-  if (is_iterative) {
-    const int subsets = effective_subsets(spec);
-    if (plan.iter_device_bytes(subsets) > options_.ifdk.device.memory_bytes) {
-      throw reject("iterative job needs " +
-                   std::to_string(plan.iter_device_bytes(subsets)) +
-                   " B of device memory (replicated volume + " +
-                   std::to_string(subsets) +
-                   " column-norm volume(s) + the view shard) but the device "
-                   "has " +
-                   std::to_string(options_.ifdk.device.memory_bytes) + " B");
-    }
-    if (plan.iter_iteration_tag_budget(subsets) > window) {
-      throw reject(
-          "one iterative iteration reserves " +
-          std::to_string(plan.iter_iteration_tag_budget(subsets)) +
-          " collective tags but the communicator tag window holds " +
-          std::to_string(window) + "; raise reduce_segment_floats (" +
-          std::to_string(plan.reduce_segment_floats) + ")");
-    }
-  } else {
-    try {
-      plan.check_device_fit(options_.ifdk.device);
-    } catch (const DeviceOutOfMemory& e) {
-      throw reject(e.what());
-    }
-    if (plan.reduce_tag_budget() > window) {
-      throw reject(
-          "one row-reduce epoch reserves " +
-          std::to_string(plan.reduce_tag_budget()) +
-          " collective tags but the communicator tag window holds " +
-          std::to_string(window) + "; raise reduce_segment_floats (" +
-          std::to_string(plan.reduce_segment_floats) + ") or rows R (" +
-          std::to_string(plan.grid.rows) + ")");
-    }
-    const std::uint64_t gather_budget = plan.gather_tag_budget();
-    if (gather_budget > window) {
-      throw reject("one column-gather epoch reserves " +
-                   std::to_string(gather_budget) +
-                   " collective tags but the communicator tag window holds " +
-                   std::to_string(window));
-    }
+    throw AdmissionError(std::string("job rejected at admission: ") +
+                         e.what());
   }
 
   auto job = std::make_shared<detail::JobRecord>();

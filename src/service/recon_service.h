@@ -17,11 +17,11 @@
 //
 // The scheduler makes four promises, each pinned by tests/test_service.cpp:
 //
-//   * Admission (§4.1.5 + tag budgets): a job whose DecompositionPlan cannot
-//     fit the simulated device, or whose per-epoch collective tag budget
-//     cannot fit inside mpi::Comm::kCollectiveTagWindow, is rejected AT
-//     SUBMIT with a typed AdmissionError naming the offending numbers —
-//     it never poisons the queue.
+//   * Admission (§4.1.5): a job whose working set cannot fit the simulated
+//     device (DecompositionPlan::check_device_fit for FDK,
+//     check_iter_device_fit for iterative jobs) is rejected AT SUBMIT with
+//     a typed AdmissionError naming the offending numbers — it never
+//     poisons the queue.
 //   * Batching: queued jobs are ordered by priority (higher first), then
 //     earliest deadline within a priority band (EDF; a deadline can never
 //     promote a job past a higher band), then submit order. The dispatcher
@@ -62,11 +62,10 @@
 namespace ifdk::service {
 
 /// Thrown by ReconService::submit when a job can never run on this
-/// service's device/communicator budget: the decomposition does not fit the
-/// simulated device (§4.1.5), or one collective epoch would reserve more
-/// tags than the communicator window holds. The message names the numbers
-/// (bytes needed vs available, tags needed vs window) so the caller can fix
-/// the geometry or options instead of retrying.
+/// service's device: its working set does not fit the simulated device
+/// memory (§4.1.5). The message names the numbers (bytes needed vs
+/// available) so the caller can fix the geometry or options instead of
+/// retrying.
 class AdmissionError : public Error {
  public:
   /// Wraps the human-readable admission verdict.
@@ -215,9 +214,9 @@ class ReconService {
   /// Admits or rejects `spec` synchronously, then enqueues it. Throws
   /// ConfigError on a malformed spec (JobSpec::validate) or an inconsistent
   /// decomposition, and AdmissionError when the resolved plan cannot fit
-  /// the device or the collective tag window (counted in
-  /// ServiceStats::rejected). On success the job is kQueued and its
-  /// predicted completion is published on the returned handle.
+  /// the device (counted in ServiceStats::rejected). On success the job is
+  /// kQueued and its predicted completion is published on the returned
+  /// handle.
   JobHandle submit(JobSpec spec);
 
   /// Stops dispatching new batches (the in-flight batch, if any, finishes).

@@ -4,10 +4,12 @@
 // arithmetic exactly) and tight-tolerance on multi-rank grids (where the
 // all-reduce folds rank partials in a different deterministic order) — plus
 // monotone residual decrease on a noiseless phantom, rerun determinism,
-// rank-consistent early stop, and workload-selector validation.
+// rank-consistent early stop, workload-selector validation, and the
+// device-fit check.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -251,6 +253,27 @@ TEST(DistributedIterative, RejectsMisroutedAndMalformedJobs) {
   EXPECT_THROW(
       run_iterative(s.g, fs, opts, make_iter_job(mlem_subsets, "mlem_os")),
       ConfigError);
+}
+
+TEST(DistributedIterative, UndersizedDeviceThrowsNamingTheBytes) {
+  // The replicated-volume working set is checked before any rank starts.
+  const Scene s = make_scene();
+  pfs::ParallelFileSystem fs;  // never read: the check precedes any load
+  IfdkOptions opts = grid_options(4, 2);
+  opts.device.memory_bytes = 4096;
+  IterParams params;
+  const std::uint64_t needed = DecompositionPlan::make(s.g, opts)
+                                   .iter_device_bytes(params.subsets);
+  try {
+    run_iterative(s.g, fs, opts, make_iter_job(params, "oom"));
+    FAIL() << "expected DeviceOutOfMemory";
+  } catch (const DeviceOutOfMemory& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("needs " + std::to_string(needed) + " B"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("device has 4096 B"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Execution-engine tests: the workload-agnostic seams extracted from the FDK
 // runtime — object naming, the z-major slice permutation, root-cause error
-// selection, the collective tag-budget check (including the wrap-skip
-// allowance), the EpochComms re-split cache, and the VolumeWriterSet
+// selection, the EpochComms re-split cache, and the VolumeWriterSet
 // poison-isolation contract — plus the engine-level FDK pin: the streaming
 // workload must reproduce the sequential oracle (fdk_oracle.h) bit for bit
 // across mixed-geometry streams.
@@ -89,28 +88,6 @@ TEST(ErrorClasses, RealBeatsAbortBeatsQueueClosed) {
   const std::array<std::exception_ptr, 2> none = {nullptr, nullptr};
   EXPECT_EQ(pick_root_cause(none), nullptr);
   EXPECT_EQ(pick_root_cause({}), nullptr);
-}
-
-// ---- assert_tag_budget ------------------------------------------------------
-
-TEST(TagBudget, PassesWithinBudgetAndAcrossTheWrapSkip) {
-  const std::uint64_t window = mpi::Comm::kCollectiveTagWindow;
-  // Plain epochs: actual <= budget.
-  assert_tag_budget(0, 5, 5, "exact");
-  assert_tag_budget(100, 103, 5, "under");
-  // Wrap skip: a 5-tag budget starting one tag below the window top cannot
-  // fit before it, so the reservation skips to the next window and the
-  // epoch legitimately consumes budget + (window - offset) = 6 sequence
-  // numbers. The naive `actual <= budget` check would reject this.
-  assert_tag_budget(window - 1, window + 5, 5, "wrap");
-  // A budget that still fits below the top gets NO wrap allowance.
-  assert_tag_budget(window - 5, window, 5, "fits");
-}
-
-TEST(TagBudgetDeathTest, OverBudgetEpochAborts) {
-  // The budget invariant is an abort (IFDK_ASSERT_MSG), not an exception:
-  // a tag overrun means plan and runtime disagree and no rank can recover.
-  EXPECT_DEATH(assert_tag_budget(0, 10, 5, "overrun epoch"), "overrun epoch");
 }
 
 // ---- EpochComms -------------------------------------------------------------

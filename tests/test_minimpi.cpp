@@ -161,8 +161,7 @@ TEST(MiniMpi, AllReduceEveryoneGetsTheSum) {
 
 TEST(MiniMpi, AllReduceSegmentedInPlaceMatchesFoldOnEveryRank) {
   // The volume all-reduce of the iterative workload: segmented, in place
-  // (recv aliases send), and bitwise the ascending-rank fold on every rank,
-  // reserving one tag per segment plus one for the bcast.
+  // (recv aliases send), and bitwise the ascending-rank fold on every rank.
   for (int ranks : {1, 2, 5}) {
     run_world(ranks, [ranks](Comm& comm) {
       constexpr std::size_t kCount = 100;
@@ -176,10 +175,8 @@ TEST(MiniMpi, AllReduceSegmentedInPlaceMatchesFoldOnEveryRank) {
       for (std::size_t i = 0; i < kCount; ++i) {
         data[i] = contribution(comm.rank(), i);
       }
-      const std::uint64_t tags_before = comm.collective_tags_reserved();
       comm.allreduce(data.data(), data.data(), kCount, ReduceOp::kSum,
                      kSegment);
-      EXPECT_EQ(comm.collective_tags_reserved() - tags_before, 7u + 1u);
       for (std::size_t i = 0; i < kCount; ++i) {
         float fold = contribution(0, i);
         for (int r = 1; r < ranks; ++r) fold = fold + contribution(r, i);
@@ -187,6 +184,55 @@ TEST(MiniMpi, AllReduceSegmentedInPlaceMatchesFoldOnEveryRank) {
       }
     });
   }
+}
+
+TEST(MiniMpi, OutstandingReducesPastOneMillionSegmentsStayApart) {
+  // Collectives are numbered by an unbounded per-communicator sequence, so
+  // an epoch may take any number of sequence numbers: the first ireduce
+  // below sends 2^20 + 3 one-float segments, and a second ireduce initiated
+  // while it is outstanding must still match only its own messages. Both
+  // are waited in reverse order and checked bitwise against the
+  // ascending-rank fold.
+  constexpr std::size_t kLong = (std::size_t{1} << 20) + 3;
+  constexpr std::size_t kShort = 1000;
+  // Distinct per element and exactly representable (< 2^24), so a message
+  // matched to the wrong segment or the wrong reduce changes the result.
+  auto contribution = [](int rank, std::size_t i, float scale) {
+    return scale * static_cast<float>(static_cast<std::size_t>(1 + rank) *
+                                      (1 + i));
+  };
+  run_world(2, [&](Comm& comm) {
+    std::vector<float> send_long(kLong);
+    std::vector<float> send_short(kShort);
+    for (std::size_t i = 0; i < kLong; ++i) {
+      send_long[i] = contribution(comm.rank(), i, 1.0f);
+    }
+    for (std::size_t i = 0; i < kShort; ++i) {
+      send_short[i] = contribution(comm.rank(), i, -0.5f);
+    }
+    const bool root = comm.rank() == 0;
+    std::vector<float> recv_long(root ? kLong : 0);
+    std::vector<float> recv_short(root ? kShort : 0);
+    Comm::CollectiveRequest first =
+        comm.ireduce(send_long.data(), root ? recv_long.data() : nullptr,
+                     kLong, ReduceOp::kSum, /*root=*/0, /*segment_floats=*/1);
+    Comm::CollectiveRequest second =
+        comm.ireduce(send_short.data(), root ? recv_short.data() : nullptr,
+                     kShort, ReduceOp::kSum, /*root=*/0, /*segment_floats=*/1);
+    second.wait();
+    first.wait();
+    if (!root) return;
+    for (std::size_t i = 0; i < kShort; ++i) {
+      ASSERT_EQ(recv_short[i],
+                contribution(0, i, -0.5f) + contribution(1, i, -0.5f))
+          << "short reduce, element " << i;
+    }
+    for (std::size_t i = 0; i < kLong; ++i) {
+      ASSERT_EQ(recv_long[i],
+                contribution(0, i, 1.0f) + contribution(1, i, 1.0f))
+          << "long reduce, element " << i;
+    }
+  });
 }
 
 TEST(MiniMpi, ReduceIsDeterministic) {

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -145,29 +146,37 @@ TEST(ServiceAdmission, DeviceMisfitRejectsAtSubmitNamingTheNumbers) {
   EXPECT_EQ(stats.queued, 0u);
 }
 
-TEST(ServiceAdmission, TagBudgetOverflowRejectsAtSubmitNamingTheNumbers) {
-  // Nz = 1024 at R = 2 puts 2 * 256 * 64 * 64 = 2,097,152 floats in one
-  // slab pair; one-float segments need one collective tag per float —
-  // double the 1,048,576-tag communicator window. The job can never run,
-  // so it must never be queued.
+TEST(ServiceAdmission, IterativeDeviceMisfitRejectsAtSubmitNamingTheNumbers) {
+  // An iterative job replicates the volume: its working set is
+  // DecompositionPlan::iter_device_bytes, checked by the same
+  // check_iter_device_fit that run_iterative calls.
   pfs::ParallelFileSystem fs;
   ServiceOptions opts;
   opts.ifdk.ranks = 4;
   opts.ifdk.rows = 2;
-  opts.ifdk.reduce_segment_floats = 1;
-  const auto g = geo::make_standard_geometry({{8, 8, 8}, {64, 64, 1024}});
-  ReconService svc(g, fs, opts);
+  opts.ifdk.device.memory_bytes = 4096;
+  ReconService svc(small_geometry(), fs, opts);
+  JobSpec spec{"in/", "out/slice_"};
+  spec.workload = WorkloadKind::kIterative;
+  const std::uint64_t needed =
+      DecompositionPlan::make(small_geometry(), opts.ifdk)
+          .iter_device_bytes(spec.iterative.subsets);
 
   try {
-    svc.submit(JobSpec{"in/", "out/slice_"});
+    svc.submit(spec);
     FAIL() << "expected AdmissionError";
   } catch (const AdmissionError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("2097152"), std::string::npos) << what;
-    EXPECT_NE(what.find("1048576"), std::string::npos) << what;
-    EXPECT_NE(what.find("reduce_segment_floats"), std::string::npos) << what;
+    EXPECT_NE(what.find("rejected at admission"), std::string::npos) << what;
+    EXPECT_NE(what.find("needs " + std::to_string(needed) + " B"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("device has 4096"), std::string::npos) << what;
   }
-  EXPECT_EQ(svc.stats().rejected, 1u);
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.queued, 0u);
 }
 
 TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
