@@ -52,6 +52,11 @@ void Device::free_buffer(std::uint64_t id) {
   live_.erase(it);
 }
 
+double Device::transfer_cost(std::uint64_t bytes) const {
+  return spec_.pcie_latency_s +
+         static_cast<double>(bytes) / spec_.pcie_bandwidth_bytes_per_s;
+}
+
 double Device::h2d(DeviceBuffer& dst, const float* src, std::uint64_t bytes,
                    std::uint64_t dst_offset_bytes) {
   IFDK_ASSERT(dst.valid() && dst.device_ == this);
@@ -60,11 +65,7 @@ double Device::h2d(DeviceBuffer& dst, const float* src, std::uint64_t bytes,
     std::memcpy(reinterpret_cast<char*>(dst.data()) + dst_offset_bytes, src,
                 bytes);
   }
-  const double cost = spec_.pcie_latency_s +
-                      static_cast<double>(bytes) /
-                          spec_.pcie_bandwidth_bytes_per_s;
-  t_h2d_ += cost;
-  return cost;
+  return transfer_cost(bytes);
 }
 
 double Device::d2h(float* dst, const DeviceBuffer& src, std::uint64_t bytes,
@@ -76,32 +77,7 @@ double Device::d2h(float* dst, const DeviceBuffer& src, std::uint64_t bytes,
                 reinterpret_cast<const char*>(src.data()) + src_offset_bytes,
                 bytes);
   }
-  const double cost = spec_.pcie_latency_s +
-                      static_cast<double>(bytes) /
-                          spec_.pcie_bandwidth_bytes_per_s;
-  t_d2h_ += cost;
-  return cost;
-}
-
-double Device::charge_h2d(std::uint64_t bytes) {
-  const double cost = spec_.pcie_latency_s +
-                      static_cast<double>(bytes) /
-                          spec_.pcie_bandwidth_bytes_per_s;
-  t_h2d_ += cost;
-  return cost;
-}
-
-double Device::charge_d2h(std::uint64_t bytes) {
-  const double cost = spec_.pcie_latency_s +
-                      static_cast<double>(bytes) /
-                          spec_.pcie_bandwidth_bytes_per_s;
-  t_d2h_ += cost;
-  return cost;
-}
-
-void Device::charge_kernel(double seconds) {
-  IFDK_ASSERT(seconds >= 0);
-  t_kernel_ += spec_.launch_latency_s + seconds;
+  return transfer_cost(bytes);
 }
 
 }  // namespace ifdk::gpusim

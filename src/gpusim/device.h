@@ -7,12 +7,11 @@
 //     rule of Section 4.1.5;
 //   * explicit host<->device transfers priced by a PCIe bandwidth/latency
 //     model (BW_PCIe = 11.9 GB/s measured by bandwidthTest, Section 5.3.3);
-//   * kernel execution priced by the Table-4-calibrated KernelModel.
+//   * kernel execution priced by the Table-4-calibrated KernelModel
+//     (gpusim/kernel_model.h).
 //
-// Transfers and kernel launches actually execute on the CPU (memcpy / the
-// real back-projection kernels); the Device additionally keeps a *virtual
-// clock ledger* of what the same operations would have cost on the paper's
-// hardware, which the benches report alongside CPU wall time.
+// Transfers actually execute on the CPU (memcpy); each returns what the
+// same copy would have cost on the paper's hardware.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +31,6 @@ struct DeviceSpec {
   double pcie_bandwidth_bytes_per_s = 11.9e9;
   /// Per-transfer latency (driver + DMA setup).
   double pcie_latency_s = 10e-6;
-  /// Kernel launch overhead.
-  double launch_latency_s = 5e-6;
 };
 
 /// RAII handle to a device allocation. Move-only; frees on destruction.
@@ -95,44 +92,25 @@ class Device {
   std::uint64_t used_bytes() const { return used_; }
   std::uint64_t free_bytes() const { return spec_.memory_bytes - used_; }
 
-  /// Host -> device copy. Performs the real memcpy and charges the virtual
-  /// clock with latency + bytes / BW_PCIe. Returns the charged seconds.
+  /// Host -> device copy. Performs the real memcpy and returns its modeled
+  /// cost, latency + bytes / BW_PCIe, in seconds.
   double h2d(DeviceBuffer& dst, const float* src, std::uint64_t bytes,
              std::uint64_t dst_offset_bytes = 0);
 
-  /// Device -> host copy, same accounting.
+  /// Device -> host copy, same cost model.
   double d2h(float* dst, const DeviceBuffer& src, std::uint64_t bytes,
              std::uint64_t src_offset_bytes = 0);
-
-  /// Charges `seconds` of kernel time to the virtual clock (the caller ran
-  /// the kernel on the CPU and computed the V100-equivalent cost from the
-  /// KernelModel).
-  void charge_kernel(double seconds);
-
-  /// Accounting-only transfers: charge the PCIe cost of moving `bytes`
-  /// without touching data. The iFDK pipeline uses these when the payload
-  /// already lives in host memory (the kernels execute on the CPU) but the
-  /// modeled V100 would have had to move it. Returns the charged seconds.
-  double charge_h2d(std::uint64_t bytes);
-  double charge_d2h(std::uint64_t bytes);
-
-  // Virtual-clock ledger (seconds the modeled V100 would have spent).
-  double virtual_h2d_seconds() const { return t_h2d_; }
-  double virtual_d2h_seconds() const { return t_d2h_; }
-  double virtual_kernel_seconds() const { return t_kernel_; }
-  double virtual_total_seconds() const { return t_h2d_ + t_d2h_ + t_kernel_; }
 
  private:
   friend class DeviceBuffer;
   void free_buffer(std::uint64_t id);
+  /// Modeled PCIe cost of one copy: latency + bytes / BW_PCIe.
+  double transfer_cost(std::uint64_t bytes) const;
 
   DeviceSpec spec_;
   std::uint64_t used_ = 0;
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, std::uint64_t> live_;  // id -> bytes
-  double t_h2d_ = 0;
-  double t_d2h_ = 0;
-  double t_kernel_ = 0;
 };
 
 }  // namespace ifdk::gpusim

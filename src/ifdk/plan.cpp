@@ -128,10 +128,6 @@ std::uint64_t DecompositionPlan::reduce_segments() const {
   return (slab_floats() + reduce_segment_floats - 1) / reduce_segment_floats;
 }
 
-std::uint64_t DecompositionPlan::iter_allreduce_bytes_per_sweep() const {
-  return static_cast<std::uint64_t>(volume_floats()) * sizeof(float);
-}
-
 std::uint64_t DecompositionPlan::iter_device_bytes(int subsets) const {
   // x + one accumulator + per-subset column norms, all full volumes, plus
   // this rank's projection shard and its forward-projection scratch.

@@ -185,8 +185,6 @@ struct DecompositionPlan {
   /// Floats in one full replicated volume: Nx * Ny * Nz — the payload of
   /// one iterative all-reduce sweep.
   std::size_t volume_floats() const { return slice_px * geometry.nz; }
-  /// Bytes one rank contributes to one volume all-reduce sweep.
-  std::uint64_t iter_allreduce_bytes_per_sweep() const;
   /// Device bytes the iterative workload keeps resident per rank: the
   /// estimate, one update/ratio accumulator, the per-subset column-norm
   /// volumes, plus this rank's projection shard and forward buffer.

@@ -49,7 +49,7 @@ class IterativeWorkload final : public engine::Workload {
     const DecompositionPlan& plan = plan_;
     const geo::CbctGeometry& g = plan.geometry;
     const IterParams& params = job_.iterative;
-    const int subsets = params.subsets;
+    const int subsets = params.effective_subsets();
 
     mpi::Comm& world = ctx.world;
     const int rank = ctx.rank;
@@ -130,11 +130,10 @@ class IterativeWorkload final : public engine::Workload {
           ray_norm.push_back(fp.project(ones, g.beta(s)));
         }
       }
-      vox_norm.reserve(static_cast<std::size_t>(is_mlem ? 1 : subsets));
-      for (int sub = 0; sub < (is_mlem ? 1 : subsets); ++sub) {
+      vox_norm.reserve(static_cast<std::size_t>(subsets));
+      for (int sub = 0; sub < subsets; ++sub) {
         Volume norm(g.nx, g.ny, g.nz);
-        for (const std::size_t idx :
-             is_mlem ? owned_in_subset(0) : owned_in_subset(sub)) {
+        for (const std::size_t idx : owned_in_subset(sub)) {
           backproject_unweighted(g, ones_img, g.beta(shard[idx]), norm);
         }
         allreduce_volume(norm);
@@ -261,9 +260,8 @@ IterStats run_iterative(const geo::CbctGeometry& geometry,
                "dispatch through run_streaming");
   const geo::CbctGeometry g = job.geometry.value_or(geometry);
   const DecompositionPlan plan = DecompositionPlan::make(g, options);
-  const int subsets =
-      job.iterative.algorithm == Algorithm::kMlem ? 1 : job.iterative.subsets;
-  plan.check_iter_device_fit(options.device, subsets);
+  plan.check_iter_device_fit(options.device,
+                             job.iterative.effective_subsets());
 
   IterativeWorkload workload(fs, options, job, plan);
   const engine::EngineStats engine_stats =

@@ -55,6 +55,13 @@ struct IterParams {
   /// rank-consistent by construction.
   double stop_rmse = 0;
 
+  /// Subset sweeps per iteration: `subsets`, except that MLEM always
+  /// iterates whole sweeps (one subset). Admission, completion prediction
+  /// and execution all read it here, so they size the same working set.
+  int effective_subsets() const {
+    return algorithm == Algorithm::kMlem ? 1 : subsets;
+  }
+
   /// Validates the parameter ranges above; throws ConfigError naming the
   /// offending field, prefixed with "volume N: " when `volume_index >= 0`
   /// (the plan layer's convention). Called by JobSpec::validate for

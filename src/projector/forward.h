@@ -8,12 +8,21 @@
 //   * tests cross-check the analytic ellipsoid projector against ray
 //     marching through the voxelized phantom.
 //
-// The sampler marches the source->pixel ray across the volume's bounding box
-// with trilinear interpolation at `step_fraction * min_pitch` steps (the
-// standard Siddon/Joseph-style sampling used by RTK's voxel projectors).
+// Sampling rule (the standard Siddon/Joseph-style sampling used by RTK's
+// voxel projectors): the source->pixel ray is clipped to the volume's
+// bounding box [t0, t1] and sampled with trilinear interpolation at the
+// midpoints t0 + (n + 1/2) * step, step = step_fraction * min_pitch.
+// Trilinear interpolation is defined on the closed index interior
+// [0, n-1]^3 and is zero outside it, so each ray takes only the midpoints
+// that fall inside that interior: one contiguous range [n_lo, n_hi], found
+// by a second slab clip in voxel-index space. The march itself runs in
+// fractional voxel-index space (one affine world->index map per view), in
+// float, with the base voxel clamped to [0, n-2] per axis so rounding at
+// either end of the range never reads outside the volume.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/image.h"
 #include "common/thread_pool.h"
@@ -39,9 +48,10 @@ class ForwardProjector {
   /// The volume must be kXMajor.
   Image2D project(const Volume& volume, double beta) const;
 
-  /// Trilinear sample of the volume at fractional voxel index (i, j, k);
-  /// returns 0 outside. Exposed for the iterative solvers.
-  static float sample(const Volume& volume, double i, double j, double k);
+  /// Trilinear samples project() takes at gantry angle beta, summed over
+  /// every detector pixel (the interior-clipped ranges above). Benches
+  /// divide it by the projection time to report Msample/s.
+  std::uint64_t sample_count(double beta) const;
 
  private:
   geo::CbctGeometry geometry_;

@@ -91,13 +91,6 @@ bool dispatches_before(const std::shared_ptr<JobRecord>& a,
   return a->id < b->id;
 }
 
-/// Effective subset count of an iterative job (MLEM iterates whole sweeps).
-int effective_subsets(const JobSpec& spec) {
-  return spec.iterative.algorithm == iterative::Algorithm::kMlem
-             ? 1
-             : spec.iterative.subsets;
-}
-
 /// Re-sorts the queue into dispatch order and republishes every queued
 /// job's predicted completion from the mixed-queue recurrence (FDK runs
 /// stream together through simulate_stream; iterative jobs run serially
@@ -113,7 +106,7 @@ void reorder_and_predict_locked(ServiceState& st,
     if (job->spec.workload == WorkloadKind::kIterative) {
       q.iterative = true;
       q.iterations = job->spec.iterative.iterations;
-      q.subsets = effective_subsets(job->spec);
+      q.subsets = job->spec.iterative.effective_subsets();
     }
     jobs.push_back(std::move(q));
   }
@@ -247,7 +240,7 @@ JobHandle ReconService::submit(JobSpec spec) {
   try {
     if (is_iterative) {
       plan.check_iter_device_fit(options_.ifdk.device,
-                                 effective_subsets(spec));
+                                 spec.iterative.effective_subsets());
     } else {
       plan.check_device_fit(options_.ifdk.device);
     }

@@ -73,9 +73,6 @@ TEST(Device, TransfersCopyDataAndChargeClock) {
   const double down = dev.d2h(back.data(), buf, back.size() * sizeof(float));
   EXPECT_GT(down, 0);
   EXPECT_EQ(back, host);
-
-  EXPECT_DOUBLE_EQ(dev.virtual_h2d_seconds(), up);
-  EXPECT_DOUBLE_EQ(dev.virtual_d2h_seconds(), down);
 }
 
 TEST(Device, TransferCostMatchesBandwidthModel) {
@@ -90,13 +87,6 @@ TEST(Device, TransferCostMatchesBandwidthModel) {
   EXPECT_NEAR(t, (256.0 * (1 << 20)) / 11.9e9, 1e-9);
 }
 
-TEST(Device, KernelChargeAccumulates) {
-  Device dev(small_spec());
-  dev.charge_kernel(0.5);
-  dev.charge_kernel(0.25);
-  EXPECT_NEAR(dev.virtual_kernel_seconds(),
-              0.75 + 2 * dev.spec().launch_latency_s, 1e-12);
-}
 
 // ---------------------------------------------------------------------------
 // KernelModel
