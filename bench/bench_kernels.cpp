@@ -140,7 +140,9 @@ BENCHMARK(BM_FilterProjection)->Unit(benchmark::kMicrosecond);
 
 void BM_FilterProjectionBackend(benchmark::State& state) {
   // The filtering stage pinned to one FFT batch backend: the per-backend
-  // rows the filter speedup in EXPERIMENTS.md is read from.
+  // rows the filter speedup in EXPERIMENTS.md is read from. Second arg:
+  // 0 = the shared 96^2 scene, 256 = the 256^2 detector of the 4D-CT series
+  // workload (one Shepp-Logan view; the rate does not depend on the data).
   const fft::Backend backend = backend_arg(state.range(0));
   if (!ifdk::simd::supported(backend)) {
     const std::string msg = std::string(ifdk::simd::to_string(backend)) +
@@ -148,24 +150,34 @@ void BM_FilterProjectionBackend(benchmark::State& state) {
     state.SkipWithError(msg.c_str());
     return;
   }
-  const bench::Scene& scene = shared_scene();
+  const std::size_t nu = static_cast<std::size_t>(state.range(1));
+  const geo::CbctGeometry g =
+      nu == 0 ? shared_scene().g
+              : geo::make_standard_geometry({{nu, nu, 64}, {32, 32, 32}});
+  const Image2D view = nu == 0 ? Image2D()
+                               : phantom::project(phantom::shepp_logan(), g,
+                                                  g.beta(0));
+  const Image2D& source = nu == 0 ? shared_scene().projections[0] : view;
   filter::FilterOptions options;
   options.fft_backend = backend;
-  filter::FilterEngine engine(scene.g, options);
+  filter::FilterEngine engine(g, options);
   state.SetLabel(engine.fft_backend_name());
   fft::Workspace ws;
-  Image2D img(scene.g.nu, scene.g.nv, false);
+  Image2D img(g.nu, g.nv, false);
   for (auto _ : state) {
     for (std::size_t n = 0; n < img.pixels(); ++n) {
-      img.data()[n] = scene.projections[0].data()[n];
+      img.data()[n] = source.data()[n];
     }
     engine.apply(img, ws);
     benchmark::DoNotOptimize(img.data());
   }
+  state.counters["proj_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FilterProjectionBackend)
     ->Unit(benchmark::kMicrosecond)
-    ->DenseRange(0, 3);  // avx512, avx2, neon, scalar
+    // avx512, avx2, neon, scalar x {96^2 scene, 256^2 series detector}
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 256}});
 
 void BM_ProjectionTranspose(benchmark::State& state) {
   // Alg. 4 line 3 — the paper argues its cost is a small fraction of the

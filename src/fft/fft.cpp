@@ -123,8 +123,9 @@ void Workspace::ensure(std::size_t padded) {
   // Sized for the widest backend so one workspace serves whichever kernel
   // dispatch settled on (and the allocation count stays at one even if two
   // convolvers with different lane widths share it).
-  re_.allocate(padded * kMaxBatchLanes);
-  im_.allocate(padded * kMaxBatchLanes);
+  const std::size_t points = (padded + 1) / 2;
+  re_.allocate(points * kMaxBatchLanes);
+  im_.allocate(points * kMaxBatchLanes);
   capacity_ = padded;
   ++allocations_;
 }
@@ -139,28 +140,61 @@ RowConvolver::RowConvolver(std::size_t row_length,
     : row_length_(row_length), kernel_(&simd::select(backend)) {
   IFDK_ASSERT(row_length > 0);
   IFDK_ASSERT(!kernel.empty());
-  // The ramp kernel is symmetric around its center; linear convolution output
-  // sample i of the original row lives at padded index i + kernel_center.
+  // Output sample i of the row is linear-convolution sample i + c; the
+  // shortest exact circular length is Nu + max(c, K - 1 - c) (see fft.h).
   kernel_center_ = kernel.size() / 2;
-  padded_ = next_pow2(row_length + kernel.size() - 1);
-  IFDK_ASSERT(padded_ <= std::numeric_limits<std::uint32_t>::max());
-  inv_n_ = 1.0 / static_cast<double>(padded_);
+  const std::size_t reach =
+      std::max(kernel_center_, kernel.size() - 1 - kernel_center_);
+  padded_ = std::max<std::size_t>(2, next_pow2(row_length + reach));
+  IFDK_ASSERT(padded_ / 2 <= std::numeric_limits<std::uint32_t>::max());
+  const std::size_t m = padded_ / 2;
 
-  std::vector<Complex> k(padded_, Complex(0, 0));
-  for (std::size_t i = 0; i < kernel.size(); ++i) k[i] = Complex(kernel[i], 0);
-  forward(k);
-  kernel_re_.resize(padded_);
-  kernel_im_.resize(padded_);
-  for (std::size_t i = 0; i < padded_; ++i) {
-    kernel_re_[i] = k[i].real();
-    kernel_im_[i] = k[i].imag();
+  // L-point kernel spectrum H; taps beyond L fold modulo L (still exact:
+  // no output-window sample reads a wrapped row index).
+  std::vector<Complex> h(padded_, Complex(0, 0));
+  for (std::size_t i = 0; i < kernel.size(); ++i) {
+    h[i % padded_] += Complex(kernel[i], 0);
+  }
+  forward(h);
+
+  // Spectral-step factors. With Z the M-point transform of the even/odd
+  // packed row and Zc[k] = conj(Z[(M - k) mod M]), the real spectrum is
+  // X[k] = Xe + W^k Xo and X[k + M] = Xe - W^k Xo, Xe = (Z + Zc) / 2,
+  // Xo = -i (Z - Zc) / 2, W = e^{-2 pi i / L}. Filtering gives
+  // Y = H X, and the packed transform of the filtered row is
+  // Z' = Ye + i Yo = Xe P + Xo Q = alpha Z + beta Zc with
+  //   P = [(Hp + Hm) + i W^-k (Hp - Hm)] / 2,
+  //   Q = [(Hp - Hm) W^k + i (Hp + Hm)] / 2,
+  //   alpha = (P - i Q) / 2,  beta = (P + i Q) / 2,
+  // Hp = H[k], Hm = H[k + M]. The inverse pass's 1/M is folded in; M is a
+  // power of two, so the scaling is exact.
+  const Complex i1(0, 1);
+  const double inv_m = 1.0 / static_cast<double>(m);
+  alpha_re_.resize(m);
+  alpha_im_.resize(m);
+  beta_re_.resize(m);
+  beta_im_.resize(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const double angle =
+        -2.0 * kPi * static_cast<double>(k) / static_cast<double>(padded_);
+    const Complex w(std::cos(angle), std::sin(angle));
+    const Complex hp = h[k];
+    const Complex hm = h[k + m];
+    const Complex p = 0.5 * ((hp + hm) + i1 * std::conj(w) * (hp - hm));
+    const Complex q = 0.5 * ((hp - hm) * w + i1 * (hp + hm));
+    const Complex alpha = 0.5 * inv_m * (p - i1 * q);
+    const Complex beta = 0.5 * inv_m * (p + i1 * q);
+    alpha_re_[k] = alpha.real();
+    alpha_im_[k] = alpha.imag();
+    beta_re_[k] = beta.real();
+    beta_im_[k] = beta.imag();
   }
 
   // Bit-reversal permutation as explicit swap pairs: the same (i, j) swaps
   // radix2() performs, recorded once so the batch kernels replay them
   // without recomputing the reversed index per call.
-  for (std::size_t i = 1, j = 0; i < padded_; ++i) {
-    std::size_t bit = padded_ >> 1;
+  for (std::size_t i = 1, j = 0; i < m; ++i) {
+    std::size_t bit = m >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
     if (i < j) {
@@ -170,13 +204,12 @@ RowConvolver::RowConvolver(std::size_t row_length,
   }
 
   // Stage-packed twiddle tables: stage len occupies [len/2 - 1, len - 1)
-  // and holds exactly the w values of radix2()'s w *= wn recurrence, so a
-  // plan-driven transform rounds identically to the seed's per-call one.
-  const auto build = [this](int sign, std::vector<double>& tre,
-                            std::vector<double>& tim) {
-    tre.reserve(padded_ - 1);
-    tim.reserve(padded_ - 1);
-    for (std::size_t len = 2; len <= padded_; len <<= 1) {
+  // and holds exactly the w values of radix2()'s w *= wn recurrence.
+  const auto build = [m](int sign, std::vector<double>& tre,
+                         std::vector<double>& tim) {
+    tre.reserve(m - 1);
+    tim.reserve(m - 1);
+    for (std::size_t len = 2; len <= m; len <<= 1) {
       const double angle = sign * 2.0 * kPi / static_cast<double>(len);
       const Complex wn(std::cos(angle), std::sin(angle));
       Complex w(1.0, 0.0);
@@ -193,7 +226,7 @@ RowConvolver::RowConvolver(std::size_t row_length,
 
 simd::PlanView RowConvolver::plan_view() const {
   simd::PlanView p;
-  p.n = padded_;
+  p.n = padded_ / 2;
   p.swap_from = swap_from_.data();
   p.swap_to = swap_to_.data();
   p.swaps = swap_from_.size();
@@ -201,9 +234,10 @@ simd::PlanView RowConvolver::plan_view() const {
   p.fwd_im = fwd_im_.data();
   p.inv_re = inv_re_.data();
   p.inv_im = inv_im_.data();
-  p.kernel_re = kernel_re_.data();
-  p.kernel_im = kernel_im_.data();
-  p.inv_n = inv_n_;
+  p.alpha_re = alpha_re_.data();
+  p.alpha_im = alpha_im_.data();
+  p.beta_re = beta_re_.data();
+  p.beta_im = beta_im_.data();
   return p;
 }
 
@@ -217,20 +251,24 @@ void RowConvolver::convolve_batch(float* rows, std::size_t lanes,
   // Zero everything: the pad region must be zero for linear convolution,
   // and inactive lanes must be zero so the vector backends (which always
   // transform all `width` lanes) work on clean data.
-  const std::size_t total = padded_ * width;
+  const std::size_t total = padded_ / 2 * width;
   std::fill(re, re + total, 0.0);
   std::fill(im, im + total, 0.0);
+  // Even/odd packing: sample 2n -> re[n], sample 2n + 1 -> im[n].
   for (std::size_t l = 0; l < lanes; ++l) {
     const float* row = rows + l * row_length_;
     for (std::size_t i = 0; i < row_length_; ++i) {
-      re[i * width + l] = static_cast<double>(row[i]);
+      double* plane = (i & 1) ? im : re;
+      plane[(i >> 1) * width + l] = static_cast<double>(row[i]);
     }
   }
   kernel_->convolve(plan_view(), re, im, lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
     float* row = rows + l * row_length_;
     for (std::size_t i = 0; i < row_length_; ++i) {
-      row[i] = static_cast<float>(re[(i + kernel_center_) * width + l]);
+      const std::size_t q = i + kernel_center_;
+      const double* plane = (q & 1) ? im : re;
+      row[i] = static_cast<float>(plane[(q >> 1) * width + l]);
     }
   }
 }

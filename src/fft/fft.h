@@ -14,9 +14,13 @@
 // rows are packed batch_lanes() at a time into an SoA workspace (one
 // detector row per vector lane; the lane count is a backend property — 8
 // for avx512, 4 for scalar/avx2/neon) and transformed by a
-// runtime-dispatched kernel. Every backend executes the same per-lane
-// operation sequence, so all backends — and batched vs single-row calls —
-// produce bitwise-identical filtered rows.
+// runtime-dispatched kernel. Each real row is zero-padded to the shortest
+// exact power of two L (see RowConvolver) and packed even/odd into L/2
+// complex points, so one half-length complex transform does the work of a
+// full-length one on a real signal (simd/batch_kernel.h has the spectral
+// step that undoes and redoes the split). Every backend executes the same
+// per-lane operation sequence, so all backends — and batched vs single-row
+// calls — produce bitwise-identical filtered rows.
 #pragma once
 
 #include <complex>
@@ -62,16 +66,19 @@ std::vector<double> circular_convolve(const std::vector<double>& a,
                                       const std::vector<double>& b);
 
 /// Caller-owned scratch for RowConvolver: two 64-byte-aligned SoA planes
-/// (real/imaginary) holding kMaxBatchLanes zero-padded rows. A Workspace is
-/// NOT thread-safe — each thread uses its own (or the per-thread one from
-/// thread_workspace()) — which is what lets RowConvolver stay const and be
+/// (real/imaginary) holding kMaxBatchLanes zero-padded rows, each packed
+/// even/odd (sample 2n in the real plane, 2n + 1 in the imaginary one). A
+/// Workspace is NOT thread-safe — each thread uses its own (or the
+/// per-thread one from thread_workspace()) — which is what lets
+/// RowConvolver stay const and be
 /// shared freely across pooled threads. Reused across calls so steady-state
 /// filtering performs no heap allocation (the seed allocated a padded
 /// complex vector per row; see allocations()).
 class Workspace {
  public:
-  /// Grows the planes to hold `padded` complex samples per lane; no-op when
-  /// already large enough. Called by RowConvolver before each batch.
+  /// Grows the planes to hold `padded` real samples per lane — (padded + 1)
+  /// / 2 complex points per plane pair; no-op when already large enough.
+  /// Called by RowConvolver with its padded_size() before each batch.
   void ensure(std::size_t padded);
 
   /// Number of heap (re)allocations performed so far. Tests pin this to
@@ -79,12 +86,12 @@ class Workspace {
   /// allocates at most once.
   std::size_t allocations() const { return allocations_; }
 
-  /// Capacity in padded complex samples per lane.
+  /// Capacity in padded real samples per lane (split across both planes).
   std::size_t capacity() const { return capacity_; }
 
-  /// Real plane: capacity() * kMaxBatchLanes doubles; element i of lane l
-  /// sits at index i * W + l, where W is the batch_lanes() of the convolver
-  /// using the workspace.
+  /// Real plane: (capacity() + 1) / 2 * kMaxBatchLanes doubles; complex
+  /// point n of lane l sits at index n * W + l, where W is the
+  /// batch_lanes() of the convolver using the workspace.
   double* re() { return re_.data(); }
 
   /// Imaginary plane, same layout as re().
@@ -103,25 +110,31 @@ class Workspace {
 Workspace& thread_workspace();
 
 /// Plan for repeated convolution of many rows with one fixed real kernel:
-/// the kernel spectrum, bit-reversal swaps and per-stage twiddle factors are
-/// computed once; each row batch is transformed, multiplied and
-/// inverse-transformed by the selected simd backend. This is exactly the
-/// per-row work of Algorithm 1 line 4. Rows are zero-padded to
-/// `padded_size()` inside the workspace.
+/// the spectral-step factors (from the kernel spectrum), bit-reversal swaps
+/// and per-stage twiddle factors are computed once; each row batch is
+/// transformed, multiplied and inverse-transformed by the selected simd
+/// backend. This is exactly the per-row work of Algorithm 1 line 4. Rows
+/// are zero-padded to `padded_size()` real samples and packed even/odd into
+/// padded_size() / 2 complex points inside the workspace.
 class RowConvolver {
  public:
-  /// `row_length` is Nu; `kernel` is the spatial-domain filter whose length
-  /// determines the zero-padding (linear convolution requires
-  /// padded >= row_length + kernel.size() - 1; we round up to a power of
-  /// two, so the radix-2 kernels always apply). `backend` picks the batch
-  /// kernel; kAuto resolves here, once, to the fastest supported one.
+  /// `row_length` is Nu; `kernel` is the spatial-domain filter of length K
+  /// with centre c = K / 2. Only the output window [c, c + Nu) of the
+  /// linear convolution is kept, so a circular convolution of length
+  /// L >= Nu + max(c, K - 1 - c) is exact there: wrap-around lands only
+  /// outside the window. L is that bound rounded up to a power of two (at
+  /// least 2, so the half-length transform has a point), and a kernel
+  /// longer than L is folded modulo L, which the same bound keeps exact.
+  /// `backend` picks the batch kernel; kAuto resolves here, once, to the
+  /// fastest supported one.
   RowConvolver(std::size_t row_length, const std::vector<double>& kernel,
                Backend backend = Backend::kAuto);
 
   /// Row length Nu this convolver was planned for.
   std::size_t row_length() const { return row_length_; }
 
-  /// Power-of-two padded FFT length.
+  /// Padded real row length L = max(2, next_pow2(Nu + max(c, K - 1 - c))),
+  /// a power of two; the backends transform L / 2 complex points.
   std::size_t padded_size() const { return padded_; }
 
   /// Name of the batch kernel actually selected ("scalar", "avx2",
@@ -151,8 +164,8 @@ class RowConvolver {
   void convolve_rows(float* rows, std::size_t count) const;
 
  private:
-  /// One backend call: packs `lanes` <= batch_lanes() rows into the SoA
-  /// planes, convolves, unpacks the centered output window.
+  /// One backend call: packs `lanes` <= batch_lanes() rows even/odd into
+  /// the SoA planes, convolves, unpacks the centered output window.
   void convolve_batch(float* rows, std::size_t lanes, Workspace& ws) const;
 
   /// Assembles the read-only view the batch kernels consume.
@@ -162,15 +175,16 @@ class RowConvolver {
   std::size_t padded_;
   std::size_t kernel_center_;
   const simd::BatchKernel* kernel_;
-  double inv_n_;
   std::vector<std::uint32_t> swap_from_;
   std::vector<std::uint32_t> swap_to_;
   std::vector<double> fwd_re_;
   std::vector<double> fwd_im_;
   std::vector<double> inv_re_;
   std::vector<double> inv_im_;
-  std::vector<double> kernel_re_;
-  std::vector<double> kernel_im_;
+  std::vector<double> alpha_re_;
+  std::vector<double> alpha_im_;
+  std::vector<double> beta_re_;
+  std::vector<double> beta_im_;
 };
 
 /// Naive O(N^2) DFT used only by tests as an oracle.

@@ -1,10 +1,10 @@
 // AVX2 backend: the same radix-2 passes as the scalar reference, with one
-// __m256d covering the four double lanes of the SoA batch. The twiddle (and
-// kernel-spectrum) factors are lane-invariant broadcasts, and element i's
-// four lanes sit contiguously at [i * kStride, i * kStride + 4), so every
-// butterfly is two 32-byte loads, the mul/sub/add sequence of the scalar
-// backend, and two 32-byte stores — no shuffles, no gathers, no
-// cross-lane mixing.
+// __m256d covering the four double lanes of the SoA batch. The twiddle
+// factors are lane-invariant broadcasts, and element i's four lanes sit
+// contiguously at [i * kStride, i * kStride + 4), so every butterfly is two
+// 32-byte loads, the mul/sub/add sequence of the scalar backend, and two
+// 32-byte stores — no shuffles, no gathers, no cross-lane mixing. The
+// spectral step between the passes is the shared spectral_step.
 //
 // This translation unit is compiled with -mavx2 -mfma -ffp-contract=off and
 // only linked when CMake enables it (IFDK_HAVE_AVX2); runtime CPUID dispatch
@@ -79,26 +79,8 @@ void fft_pass(const PlanView& p, double* re, double* im, const double* tw_re,
 void convolve(const PlanView& p, double* re, double* im,
               std::size_t /*lanes*/) {
   fft_pass(p, re, im, p.fwd_re, p.fwd_im);
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const __m256d br = _mm256_set1_pd(p.kernel_re[i]);
-    const __m256d bi = _mm256_set1_pd(p.kernel_im[i]);
-    double* const pr = re + i * kStride;
-    double* const pi = im + i * kStride;
-    const __m256d ar = _mm256_loadu_pd(pr);
-    const __m256d ai = _mm256_loadu_pd(pi);
-    _mm256_storeu_pd(
-        pr, _mm256_sub_pd(_mm256_mul_pd(ar, br), _mm256_mul_pd(ai, bi)));
-    _mm256_storeu_pd(
-        pi, _mm256_add_pd(_mm256_mul_pd(ar, bi), _mm256_mul_pd(ai, br)));
-  }
+  spectral_step<kStride>(p, re, im, kStride);
   fft_pass(p, re, im, p.inv_re, p.inv_im);
-  const __m256d scale = _mm256_set1_pd(p.inv_n);
-  for (std::size_t i = 0; i < p.n; ++i) {
-    double* const pr = re + i * kStride;
-    double* const pi = im + i * kStride;
-    _mm256_storeu_pd(pr, _mm256_mul_pd(_mm256_loadu_pd(pr), scale));
-    _mm256_storeu_pd(pi, _mm256_mul_pd(_mm256_loadu_pd(pi), scale));
-  }
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // AVX-512 backend: the same radix-2 passes as the scalar reference, with one
 // __m512d covering eight double lanes of the SoA batch — twice the AVX2
-// width, so one batch filters eight detector rows. The twiddle (and
-// kernel-spectrum) factors are lane-invariant broadcasts, and element i's
-// eight lanes sit contiguously at [i * kStride, i * kStride + 8), so every
-// butterfly is two 64-byte loads, the mul/sub/add sequence of the scalar
-// backend, and two 64-byte stores — no shuffles, no gathers, no cross-lane
-// mixing, and (unlike the column kernel) no masking: inactive lanes are
-// zero-filled by the caller and 0 stays 0 through every butterfly.
+// width, so one batch filters eight detector rows. The twiddle factors are
+// lane-invariant broadcasts, and element i's eight lanes sit contiguously
+// at [i * kStride, i * kStride + 8), so every butterfly is two 64-byte
+// loads, the mul/sub/add sequence of the scalar backend, and two 64-byte
+// stores — no shuffles, no gathers, no cross-lane mixing, and (unlike the
+// column kernel) no masking: inactive lanes are zero-filled by the caller
+// and 0 stays 0 through every butterfly and the spectral step between the
+// passes (spectral_step, shared with every backend).
 //
 // This translation unit is compiled with -mavx512f -mavx512dq -mavx512vl
 // -mfma -ffp-contract=off and only linked when CMake enables it
@@ -80,26 +81,8 @@ void fft_pass(const PlanView& p, double* re, double* im, const double* tw_re,
 void convolve(const PlanView& p, double* re, double* im,
               std::size_t /*lanes*/) {
   fft_pass(p, re, im, p.fwd_re, p.fwd_im);
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const __m512d br = _mm512_set1_pd(p.kernel_re[i]);
-    const __m512d bi = _mm512_set1_pd(p.kernel_im[i]);
-    double* const pr = re + i * kStride;
-    double* const pi = im + i * kStride;
-    const __m512d ar = _mm512_loadu_pd(pr);
-    const __m512d ai = _mm512_loadu_pd(pi);
-    _mm512_storeu_pd(
-        pr, _mm512_sub_pd(_mm512_mul_pd(ar, br), _mm512_mul_pd(ai, bi)));
-    _mm512_storeu_pd(
-        pi, _mm512_add_pd(_mm512_mul_pd(ar, bi), _mm512_mul_pd(ai, br)));
-  }
+  spectral_step<kStride>(p, re, im, kStride);
   fft_pass(p, re, im, p.inv_re, p.inv_im);
-  const __m512d scale = _mm512_set1_pd(p.inv_n);
-  for (std::size_t i = 0; i < p.n; ++i) {
-    double* const pr = re + i * kStride;
-    double* const pi = im + i * kStride;
-    _mm512_storeu_pd(pr, _mm512_mul_pd(_mm512_loadu_pd(pr), scale));
-    _mm512_storeu_pd(pi, _mm512_mul_pd(_mm512_loadu_pd(pi), scale));
-  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // NEON backend: the same radix-2 passes as the scalar reference, with a
 // pair of float64x2_t covering the four double lanes of the SoA batch
 // (AArch64 NEON registers are 128 bits, so element i's four lanes at
-// [i * kStride, i * kStride + 4) take two loads). The twiddle (and
-// kernel-spectrum) factors are lane-invariant broadcasts and lanes never
-// mix, so every butterfly is the mul/sub/add sequence of the scalar backend
-// applied to both register halves.
+// [i * kStride, i * kStride + 4) take two loads). The twiddle factors are
+// lane-invariant broadcasts and lanes never mix, so every butterfly is the
+// mul/sub/add sequence of the scalar backend applied to both register
+// halves; the spectral step between the passes is the shared
+// spectral_step.
 //
 // This translation unit is compiled with -ffp-contract=off (AArch64 needs
 // no extra arch flag: Advanced SIMD is baseline) and only linked when CMake
@@ -99,24 +100,8 @@ void fft_pass(const PlanView& p, double* re, double* im, const double* tw_re,
 void convolve(const PlanView& p, double* re, double* im,
               std::size_t /*lanes*/) {
   fft_pass(p, re, im, p.fwd_re, p.fwd_im);
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const V4 br = splat4(p.kernel_re[i]);
-    const V4 bi = splat4(p.kernel_im[i]);
-    double* const pr = re + i * kStride;
-    double* const pi = im + i * kStride;
-    const V4 ar = load4(pr);
-    const V4 ai = load4(pi);
-    store4(pr, sub4(mul4(ar, br), mul4(ai, bi)));
-    store4(pi, add4(mul4(ar, bi), mul4(ai, br)));
-  }
+  spectral_step<kStride>(p, re, im, kStride);
   fft_pass(p, re, im, p.inv_re, p.inv_im);
-  const V4 scale = splat4(p.inv_n);
-  for (std::size_t i = 0; i < p.n; ++i) {
-    double* const pr = re + i * kStride;
-    double* const pi = im + i * kStride;
-    store4(pr, mul4(load4(pr), scale));
-    store4(pi, mul4(load4(pi), scale));
-  }
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-// Scalar reference backend: the historical RowConvolver::convolve_row
-// arithmetic (radix-2 DIT forward, spectrum multiply, radix-2 inverse, 1/N
-// scale) replayed one lane at a time over the SoA batch. Twiddles come from
-// the plan tables — the exact values the seed computed per call with the
-// w *= wn recurrence — and the complex multiplies spell out the
-// (ac - bd, ad + bc) association of std::complex's finite fast path, so this
-// backend is bitwise-identical to the seed output and is the reference the
-// vector backends must match lane for lane.
+// Scalar reference backend: radix-2 DIT forward pass, the shared spectral
+// step, radix-2 inverse pass, replayed one lane at a time over the SoA
+// batch. Twiddles come from the plan tables — the exact values of
+// fft::forward's w *= wn recurrence — and the complex multiplies spell out
+// the (ac - bd, ad + bc) association of std::complex's finite fast path.
+// This is the reference the vector backends must match lane for lane.
 #include <cstddef>
 #include <utility>
 
@@ -63,19 +61,10 @@ void convolve(const PlanView& p, double* re, double* im, std::size_t lanes) {
   // work rather than transforming zero-filled padding.
   for (std::size_t l = 0; l < lanes; ++l) {
     fft_lane(p, re, im, l, p.fwd_re, p.fwd_im);
-    for (std::size_t i = 0; i < p.n; ++i) {
-      const std::size_t x = i * kStride + l;
-      const double ar = re[x];
-      const double ai = im[x];
-      re[x] = ar * p.kernel_re[i] - ai * p.kernel_im[i];
-      im[x] = ar * p.kernel_im[i] + ai * p.kernel_re[i];
-    }
+  }
+  spectral_step<kStride>(p, re, im, lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
     fft_lane(p, re, im, l, p.inv_re, p.inv_im);
-    for (std::size_t i = 0; i < p.n; ++i) {
-      const std::size_t x = i * kStride + l;
-      re[x] *= p.inv_n;
-      im[x] *= p.inv_n;
-    }
   }
 }
 

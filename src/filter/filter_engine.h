@@ -14,7 +14,10 @@
 // The engine is what the paper runs on the CPUs: rows are independent, so a
 // ThreadPool parallelizes across them (the paper uses OpenMP + Intel IPP).
 // Rows feed the fft/simd batch backends batch_lanes() at a time (SoA, one
-// row per vector lane; 8 rows per group on avx512, 4 elsewhere);
+// row per vector lane; 8 rows per group on avx512, 4 elsewhere). Each row is
+// padded to L = next_pow2(Nu + hw) — the shortest exact length for the
+// centred Nu-sample window of the (2 hw + 1)-tap ramp — and filtered as an
+// L/2-point complex transform of its even/odd samples (fft/fft.h);
 // FilterOptions::fft_backend picks the kernel the same way
 // BpConfig::simd_backend does for back-projection, and every backend —
 // batched or row-at-a-time — produces bitwise-identical projections.

@@ -13,12 +13,6 @@ namespace {
 
 constexpr float kEps = 1e-6f;
 
-/// Forward-projects `volume` at every angle of `betas` using `fp`.
-Image2D forward_view(const projector::ForwardProjector& fp,
-                     const Volume& volume, double beta) {
-  return fp.project(volume, beta);
-}
-
 Volume ones_volume(const geo::CbctGeometry& g) {
   Volume v(g.nx, g.ny, g.nz, VolumeLayout::kXMajor, /*zero_fill=*/false);
   v.fill(1.0f);
@@ -82,7 +76,7 @@ Volume sart(const geo::CbctGeometry& geometry,
   std::vector<Image2D> ray_norm;
   ray_norm.reserve(geometry.np);
   for (std::size_t s = 0; s < geometry.np; ++s) {
-    ray_norm.push_back(forward_view(fp, ones, geometry.beta(s)));
+    ray_norm.push_back(fp.project(ones, geometry.beta(s)));
   }
 
   // Column normalization per subset: B_subset * 1.
@@ -108,7 +102,7 @@ Volume sart(const geo::CbctGeometry& geometry,
       Volume update(geometry.nx, geometry.ny, geometry.nz);
       for (std::size_t s = static_cast<std::size_t>(sub); s < geometry.np;
            s += static_cast<std::size_t>(subsets)) {
-        const Image2D fwd = forward_view(fp, x, geometry.beta(s));
+        const Image2D fwd = fp.project(x, geometry.beta(s));
         for (std::size_t n = 0; n < resid.pixels(); ++n) {
           const float norm = std::max(ray_norm[s].data()[n], kEps);
           resid.data()[n] =
@@ -169,7 +163,7 @@ Volume mlem(const geo::CbctGeometry& geometry,
   for (int it = 0; it < options.iterations; ++it) {
     Volume ratio_bp(geometry.nx, geometry.ny, geometry.nz);
     for (std::size_t s = 0; s < geometry.np; ++s) {
-      const Image2D fwd = forward_view(fp, x, geometry.beta(s));
+      const Image2D fwd = fp.project(x, geometry.beta(s));
       for (std::size_t n = 0; n < ratio.pixels(); ++n) {
         ratio.data()[n] =
             projections[s].data()[n] / std::max(fwd.data()[n], kEps);

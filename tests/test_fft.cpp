@@ -3,12 +3,14 @@
 // filtering stage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <vector>
 
 #include "common/math_util.h"
 #include "common/rng.h"
+#include "common/simd_dispatch.h"
 #include "fft/fft.h"
 #include "filter/ramp.h"
 
@@ -164,11 +166,31 @@ TEST(RowConvolver, MatchesDirectLinearConvolution) {
   }
 }
 
+// Only the centred Nu-sample window of the linear convolution is kept, so
+// the padded length is the shortest power of two with no wrap-around inside
+// that window: next_pow2(Nu + max(c, K - 1 - c)), c = K / 2, and at least 2
+// so the half-length complex transform has a point.
+std::size_t exact_padding(std::size_t nu, std::size_t k) {
+  const std::size_t c = k / 2;
+  return std::max<std::size_t>(2, next_pow2(nu + std::max(c, k - 1 - c)));
+}
+
 TEST(RowConvolver, PaddedSizeIsPowerOfTwoAndSufficient) {
-  std::vector<double> kernel(33, 0.1);
-  RowConvolver conv(100, kernel);
-  EXPECT_TRUE(is_pow2(conv.padded_size()));
-  EXPECT_GE(conv.padded_size(), 100 + 33 - 1);
+  struct Case {
+    std::size_t nu, k;
+  };
+  for (const Case cs : {Case{100, 33}, Case{100, 34}, Case{128, 255},
+                        Case{256, 511}, Case{1, 1}, Case{1, 9}, Case{5, 2},
+                        Case{48, 33}, Case{49, 33}}) {
+    const RowConvolver conv(cs.nu, std::vector<double>(cs.k, 0.1));
+    EXPECT_TRUE(is_pow2(conv.padded_size())) << cs.nu << "," << cs.k;
+    EXPECT_EQ(conv.padded_size(), exact_padding(cs.nu, cs.k))
+        << "nu=" << cs.nu << " k=" << cs.k;
+  }
+  // The ramp (K = 2 hw + 1) pads to next_pow2(Nu + hw): 512 for the 256-wide
+  // series detector at full support, not the 1024 of Nu + K - 1.
+  EXPECT_EQ(RowConvolver(256, std::vector<double>(511, 0.1)).padded_size(),
+            512u);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,6 +278,80 @@ TEST(RowConvolverProperty, BatchedMatchesDirectOnPartialBatches) {
       for (std::size_t i = 0; i < nu; ++i) {
         EXPECT_NEAR(rows[r * nu + i], expected[r][i], 2e-4)
             << "count=" << count << " row " << r << " sample " << i;
+      }
+    }
+  }
+}
+
+// The padding rule at its edges, for every available backend: Nu + reach
+// landing exactly on a power of two and one past it (where the pad doubles),
+// odd and even kernel lengths (reach c vs K - 1 - c), a one-sample row whose
+// kernel is longer than the padded length (taps fold modulo L), and the two
+// workload detectors at full ramp support.
+TEST(RowConvolverProperty, MatchesDirectAtPaddingBoundaries) {
+  struct Case {
+    std::size_t nu, k;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t k : {std::size_t{16}, std::size_t{17},
+                              std::size_t{32}, std::size_t{33}}) {
+    const std::size_t reach = std::max(k / 2, k - 1 - k / 2);
+    for (const std::size_t target : {std::size_t{32}, std::size_t{64}}) {
+      cases.push_back({target - reach, k});      // Nu + reach == 2^k
+      cases.push_back({target - reach + 1, k});  // Nu + reach == 2^k + 1
+    }
+  }
+  for (const std::size_t k : {1, 2, 3, 4, 5, 8, 9}) cases.push_back({1, k});
+  cases.push_back({2, 1});
+  cases.push_back({3, 2});
+  std::uint64_t seed = 500;
+  for (const Backend b : ifdk::simd::kConcreteBackends) {
+    if (!simd::supported(b)) continue;
+    for (const Case cs : cases) {
+      Rng rng(seed++);
+      std::vector<double> kernel(cs.k);
+      for (auto& v : kernel) v = rng.next_double() - 0.5;
+      std::vector<float> row(cs.nu);
+      for (auto& v : row) v = static_cast<float>(rng.next_double() * 2 - 1);
+      const auto expected = direct_convolve(row, kernel);
+      const RowConvolver conv(cs.nu, kernel, b);
+      EXPECT_EQ(conv.padded_size(), exact_padding(cs.nu, cs.k));
+      conv.convolve_row(row.data());
+      for (std::size_t i = 0; i < cs.nu; ++i) {
+        EXPECT_NEAR(row[i], expected[i], 2e-4)
+            << simd::to_string(b) << " nu=" << cs.nu << " k=" << cs.k
+            << " sample " << i;
+      }
+    }
+    // Workload detectors (FDK volume 128, 4D-CT series 256) at full ramp
+    // support hw = Nu - 1, the FilterOptions default.
+    for (const std::size_t nu : {std::size_t{128}, std::size_t{256}}) {
+      for (const auto w :
+           {filter::RampWindow::kRamLak, filter::RampWindow::kHann}) {
+        const auto kernel = filter::make_ramp_kernel(nu - 1, 0.8, w, 1.7);
+        Rng rng(seed++);
+        std::vector<float> rows(3 * nu);
+        for (auto& v : rows) v = static_cast<float>(rng.next_double() * 2 - 1);
+        std::vector<std::vector<float>> expected;
+        for (std::size_t r = 0; r < 3; ++r) {
+          expected.push_back(direct_convolve(
+              std::vector<float>(rows.begin() + static_cast<std::ptrdiff_t>(
+                                                    r * nu),
+                                 rows.begin() + static_cast<std::ptrdiff_t>(
+                                                    (r + 1) * nu)),
+              kernel));
+        }
+        const RowConvolver conv(nu, kernel, b);
+        EXPECT_EQ(conv.padded_size(), 2 * nu);
+        conv.convolve_rows(rows.data(), 3);
+        for (std::size_t r = 0; r < 3; ++r) {
+          for (std::size_t i = 0; i < nu; ++i) {
+            EXPECT_NEAR(rows[r * nu + i], expected[r][i], 2e-4)
+                << simd::to_string(b) << " nu=" << nu
+                << " window=" << filter::to_string(w) << " row " << r
+                << " sample " << i;
+          }
+        }
       }
     }
   }
