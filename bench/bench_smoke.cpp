@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "ifdk/framework.h"
 #include "iterative/distributed.h"
 #include "pfs/pfs.h"
-#include "postproc/compression.h"
 #include "service/recon_service.h"
 
 namespace {
@@ -85,26 +83,19 @@ StreamingResult time_streaming(const bench::Scene& scene, int runs) {
   return r;
 }
 
-/// Compression smoke point: the streaming run with the framed wire codec
-/// and the quantized store codec both on — achieved wire/store ratios and
-/// the worst per-volume store PSNR — plus raw encode/decode throughput of
-/// the lossless frame codec on projection data (the numbers the Section 8
-/// "compression" trajectory is plotted against).
+/// Compression smoke point: the streaming run with the quantized store
+/// codec on — achieved store ratio and the worst per-volume store PSNR (the
+/// numbers the Section 8 "compression" trajectory is plotted against).
 struct CompressionResult {
   int ranks = 4;
   int rows = 2;
   int volumes = 2;
   int store_bits = 12;
   double seconds = 0.0;
-  std::size_t wire_raw_bytes = 0;
-  std::size_t wire_encoded_bytes = 0;
   std::size_t store_raw_bytes = 0;
   std::size_t store_stored_bytes = 0;
-  double wire_ratio = 1.0;
   double store_ratio = 1.0;
   double min_store_psnr_db = 0.0;
-  double encode_mb_per_s = 0.0;
-  double decode_mb_per_s = 0.0;
 };
 
 CompressionResult time_compression(const bench::Scene& scene, int runs) {
@@ -112,7 +103,6 @@ CompressionResult time_compression(const bench::Scene& scene, int runs) {
   IfdkOptions opts;
   opts.ranks = r.ranks;
   opts.rows = r.rows;
-  opts.compress_wire = true;
   std::vector<JobSpec> volumes;
   for (int v = 0; v < r.volumes; ++v) {
     JobSpec spec{"in" + std::to_string(v) + "/",
@@ -130,11 +120,8 @@ CompressionResult time_compression(const bench::Scene& scene, int runs) {
     }
     last = run_streaming(scene.g, fs, opts, volumes);
   });
-  r.wire_raw_bytes = last.wire_raw_bytes;
-  r.wire_encoded_bytes = last.wire_encoded_bytes;
   r.store_raw_bytes = last.store_raw_bytes;
   r.store_stored_bytes = last.store_stored_bytes;
-  r.wire_ratio = last.wire_ratio();
   r.store_ratio = last.store_ratio();
   r.min_store_psnr_db = 0.0;
   for (std::size_t v = 0; v < last.volume_store_psnr_db.size(); ++v) {
@@ -145,29 +132,6 @@ CompressionResult time_compression(const bench::Scene& scene, int runs) {
     }
   }
 
-  // Raw lossless-codec throughput on real projection data (one frame per
-  // projection, the wire-path granularity).
-  const double enc_s = bench::median_seconds(runs, [&] {
-    for (const Image2D& p : scene.projections) {
-      postproc::encode_frame(p.data(), p.pixels());
-    }
-  });
-  std::vector<std::vector<std::uint8_t>> frames;
-  for (const Image2D& p : scene.projections) {
-    frames.push_back(postproc::encode_frame(p.data(), p.pixels()));
-  }
-  std::vector<float> decoded(scene.projections[0].pixels());
-  const double dec_s = bench::median_seconds(runs, [&] {
-    for (std::size_t n = 0; n < frames.size(); ++n) {
-      postproc::decode_frame(frames[n].data(), frames[n].size(),
-                             decoded.data(), decoded.size());
-    }
-  });
-  const double mb = static_cast<double>(scene.projections.size()) *
-                    static_cast<double>(decoded.size()) * sizeof(float) /
-                    1048576.0;
-  r.encode_mb_per_s = enc_s > 0.0 ? mb / enc_s : 0.0;
-  r.decode_mb_per_s = dec_s > 0.0 ? mb / dec_s : 0.0;
   return r;
 }
 
@@ -264,70 +228,22 @@ PipelineResult time_pipeline(const bench::Scene& scene, int runs) {
   return p;
 }
 
-/// One ramp-filter timing row: the row convolver pinned to one FFT batch
-/// backend, driven either through the lane-width batch entry point or row by
-/// row. Every row does identical arithmetic (the backends are bitwise-
-/// identical by construction), so the deltas are pure vectorization effects.
-struct FilterRow {
-  std::string name;
-  double seconds = 0.0;
-  double rows_per_second = 0.0;
-};
-
-/// Filter-stage smoke point: per-backend rows for the FFT batch backend
-/// layer, plus the backend kAuto resolves to on this machine (what the
-/// production filtering threads run) and its SoA lane count (8 on avx512,
-/// 4 elsewhere).
+/// Filter-stage smoke point: the FFT batch backend kAuto resolves to on
+/// this machine (what the production filtering threads run) and its SoA
+/// lane count (8 on avx512, 4 elsewhere). Per-backend filter rates are
+/// BM_FilterProjectionBackend's job (bench_kernels).
 struct FilterResult {
   const char* backend = "scalar";
   std::size_t lanes = 4;
-  std::vector<FilterRow> rows;
 };
 
-FilterResult time_filter(const bench::Scene& scene, int runs) {
+FilterResult resolve_filter(const bench::Scene& scene) {
   FilterResult f;
   f.backend = filter::FilterEngine(scene.g).fft_backend_name();
   // The exact full-row ramp kernel FilterEngine builds by default.
   const std::vector<double> kernel = filter::make_ramp_kernel(
       scene.g.nu - 1, 1.0, filter::RampWindow::kRamLak, 1.0);
-  const std::size_t nu = scene.g.nu;
-  const std::size_t nv = scene.g.nv;
-  std::vector<float> rows(nu * nv);
-  const auto refresh = [&] {
-    std::memcpy(rows.data(), scene.projections[0].data(),
-                rows.size() * sizeof(float));
-  };
-  const auto add_row = [&](const std::string& name, double seconds) {
-    FilterRow r{name, seconds, 0.0};
-    r.rows_per_second =
-        seconds > 0.0 ? static_cast<double>(nv) / seconds : 0.0;
-    f.rows.push_back(std::move(r));
-  };
-  const auto time_backend = [&](fft::Backend backend, const char* prefix) {
-    const fft::RowConvolver conv(nu, kernel, backend);
-    fft::Workspace ws;
-    add_row(std::string(prefix) + "_batched",
-            bench::median_seconds(runs, [&] {
-              refresh();
-              conv.convolve_rows(rows.data(), nv, ws);
-            }));
-    add_row(std::string(prefix) + "_single_row",
-            bench::median_seconds(runs, [&] {
-              refresh();
-              for (std::size_t v = 0; v < nv; ++v) {
-                conv.convolve_row(rows.data() + v * nu, ws);
-              }
-            }));
-  };
-  f.lanes = fft::RowConvolver(nu, kernel).batch_lanes();
-  // Every backend this CPU/build supports, widest first (list_backends()
-  // order), so the JSON always carries the full measured backend matrix.
-  for (const ifdk::simd::BackendInfo& info : ifdk::simd::list_backends()) {
-    if (!info.supported) continue;
-    time_backend(info.backend,
-                 (std::string("filter_") + ifdk::simd::to_string(info.backend))
-                     .c_str());
-  }
+  f.lanes = fft::RowConvolver(scene.g.nu, kernel).batch_lanes();
   return f;
 }
 
@@ -414,12 +330,12 @@ int main(int argc, char** argv) {
   // Iterative-workload smoke point: 2 SART iterations on the same 2x2 world.
   const IterativeResult iter = time_iterative(scene, 3);
 
-  // Compression smoke point: the same streaming world with the framed wire
-  // codec and the 12-bit quantized store both on.
+  // Compression smoke point: the same streaming world with the 12-bit
+  // quantized store on.
   const CompressionResult comp = time_compression(scene, 3);
 
-  // Filter-stage smoke point: the FFT batch backends head to head.
-  const FilterResult filt = time_filter(scene, kRuns);
+  // The filter stage's resolved FFT backend.
+  const FilterResult filt = resolve_filter(scene);
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -529,36 +445,20 @@ int main(int argc, char** argv) {
                "    \"ranks\": %d, \"rows\": %d, \"volumes\": %d,\n"
                "    \"store_bits\": %d,\n"
                "    \"seconds\": %.6f,\n"
-               "    \"wire_raw_bytes\": %zu,\n"
-               "    \"wire_encoded_bytes\": %zu,\n"
-               "    \"wire_ratio\": %.4f,\n"
                "    \"store_raw_bytes\": %zu,\n"
                "    \"store_stored_bytes\": %zu,\n"
                "    \"store_ratio\": %.4f,\n"
-               "    \"min_store_psnr_db\": %.2f,\n"
-               "    \"encode_mb_per_s\": %.2f,\n"
-               "    \"decode_mb_per_s\": %.2f\n"
+               "    \"min_store_psnr_db\": %.2f\n"
                "  },\n",
                comp.ranks, comp.rows, comp.volumes, comp.store_bits,
-               comp.seconds, comp.wire_raw_bytes, comp.wire_encoded_bytes,
-               comp.wire_ratio, comp.store_raw_bytes, comp.store_stored_bytes,
-               comp.store_ratio, comp.min_store_psnr_db, comp.encode_mb_per_s,
-               comp.decode_mb_per_s);
+               comp.seconds, comp.store_raw_bytes, comp.store_stored_bytes,
+               comp.store_ratio, comp.min_store_psnr_db);
   std::fprintf(out,
                "  \"filter\": {\n"
                "    \"fft_backend\": \"%s\",\n"
-               "    \"lanes\": %zu,\n"
-               "    \"rows\": [\n",
+               "    \"lanes\": %zu\n"
+               "  },\n",
                filt.backend, filt.lanes);
-  for (std::size_t n = 0; n < filt.rows.size(); ++n) {
-    std::fprintf(out,
-                 "      {\"name\": \"%s\", \"seconds\": %.6f, "
-                 "\"rows_per_second\": %.1f}%s\n",
-                 filt.rows[n].name.c_str(), filt.rows[n].seconds,
-                 filt.rows[n].rows_per_second,
-                 n + 1 < filt.rows.size() ? "," : "");
-  }
-  std::fprintf(out, "    ]\n  },\n");
 
   // The resolved decomposition of the pipeline/streaming points above: the
   // same DecompositionPlan object the runtime consumed, recorded so the
@@ -649,37 +549,12 @@ int main(int argc, char** argv) {
               svc.jobs, svc.rows, svc.ranks / svc.rows, svc.seconds,
               svc.jobs_per_second, svc.mean_queue_latency_s, svc.rejected,
               svc.resplits);
-  {
-    auto row_seconds = [&](const char* name) {
-      for (const auto& r : filt.rows) {
-        if (r.name == name) return r.seconds;
-      }
-      return 0.0;
-    };
-    const double sb = row_seconds("filter_scalar_batched");
-    const double ss = row_seconds("filter_scalar_single_row");
-    std::printf("  filter fft backend %s (%zu lanes): scalar %.3f ms batched"
-                " / %.3f ms single-row",
-                filt.backend, filt.lanes, sb * 1e3, ss * 1e3);
-    for (const simd::BackendInfo& info : simd::list_backends()) {
-      if (!info.supported || info.backend == simd::Backend::kScalar) continue;
-      const char* name = simd::to_string(info.backend);
-      const double vb =
-          row_seconds(("filter_" + std::string(name) + "_batched").c_str());
-      if (vb > 0.0) {
-        std::printf("; %s %.3f ms batched (%.2fx over scalar)", name, vb * 1e3,
-                    sb / vb);
-      }
-    }
-    std::printf("\n");
-  }
-  std::printf("  compression %d volumes through %dx%d: wire ratio %.3f, "
-              "store ratio %.3f @ %d bits (min PSNR %.1f dB); "
-              "codec %.1f MB/s encode, %.1f MB/s decode\n",
+  std::printf("  filter fft backend %s (%zu lanes)\n", filt.backend,
+              filt.lanes);
+  std::printf("  compression %d volumes through %dx%d: "
+              "store ratio %.3f @ %d bits (min PSNR %.1f dB)\n",
               comp.volumes, comp.rows, comp.ranks / comp.rows,
-              comp.wire_ratio, comp.store_ratio, comp.store_bits,
-              comp.min_store_psnr_db, comp.encode_mb_per_s,
-              comp.decode_mb_per_s);
+              comp.store_ratio, comp.store_bits, comp.min_store_psnr_db);
   std::printf("  iterative %s x%d through %dx%d: %.3f s (%.2f iter/s); "
               "residual %.4f -> %.4f\n",
               iter.stats.algorithm.c_str(), iter.stats.iterations_run,

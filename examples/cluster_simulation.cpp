@@ -147,9 +147,8 @@ int main(int argc, char** argv) {
     // Full frames resolve R=2, scouts R=1: real re-splits, tiny scale.
     sopts.microbench.sub_volume_bytes =
         volumes[0].geometry->problem().out.bytes() / 2 + 1;
-    // Compression on for the small run: its measured ratios feed the
+    // Compressed store for the small run: its measured ratio feeds the
     // at-scale forecast below.
-    sopts.compress_wire = true;
     for (JobSpec& vol : volumes) {
       vol.compress_store = true;
       vol.store_bits = 12;
@@ -167,24 +166,22 @@ int main(int argc, char** argv) {
         predicted.volumes_per_second);
 
     // ---- compression forecast at ABCI scale -------------------------------
-    // Feed the MEASURED wire/store ratios of the small run into the
-    // simulator's byte discounts and replay the 2,048-rank plan sequence
-    // from the forecast above: the reduce phase moves bytes/wire_ratio and
-    // the store phase writes bytes/store_ratio, so the delta is the
-    // predicted bytes-on-the-wire win of Section 8's compression plan.
+    // Feed the MEASURED store ratio of the small run into the simulator's
+    // store discount and replay the 2,048-rank plan sequence from the
+    // forecast above: the store phase writes bytes/store_ratio, so the
+    // delta is the predicted store win of Section 8's compression plan.
     if (!plans.empty()) {
       cluster::SimConfig discounted;
-      discounted.wire_compression_ratio = measured.wire_ratio();
       discounted.store_compression_ratio = measured.store_ratio();
       const cluster::StreamSimResult raw = cluster::simulate_stream(plans);
       const cluster::StreamSimResult cmp =
           cluster::simulate_stream(plans, discounted);
       std::printf(
-          "\ncompression forecast at %d ranks (measured wire ratio %.3f, "
-          "store ratio %.3f @ 12 bits, PSNR %.1f dB):\n"
-          "  raw store+wire:  %.3f volumes/s (%.1f s for the series)\n"
+          "\ncompression forecast at %d ranks (measured store ratio %.3f "
+          "@ 12 bits, PSNR %.1f dB):\n"
+          "  raw store:       %.3f volumes/s (%.1f s for the series)\n"
           "  compressed:      %.3f volumes/s (%.1f s, %.1f%% faster)\n",
-          stream_ranks, measured.wire_ratio(), measured.store_ratio(),
+          stream_ranks, measured.store_ratio(),
           measured.volume_store_psnr_db.empty()
               ? 0.0
               : measured.volume_store_psnr_db[0],

@@ -91,12 +91,8 @@ PostCosts post_costs(const Problem& problem, int r, int c,
   pc.t_d2h = out_bytes * static_cast<double>(mb.gpus_per_node) /
              (static_cast<double>(r) * mb.bw_pcie *
               static_cast<double>(mb.pcie_per_node) * config.d2h_efficiency);
-  // The framed wire moves out_bytes / ratio; the fold itself is unchanged
-  // (the reduce throughput micro-benchmark is bandwidth-dominated, which is
-  // exactly where compressed frames buy their time back).
-  const double wire_bytes = out_bytes / config.wire_compression_ratio;
   pc.t_reduce =
-      c > 1 ? wire_bytes / (static_cast<double>(r) * mb.th_reduce) : 0.0;
+      c > 1 ? out_bytes / (static_cast<double>(r) * mb.th_reduce) : 0.0;
   // The compressed store writes serialized objects: both the bytes moved
   // and the stripe-efficiency slice size shrink by the store ratio.
   const double slice_bytes =

@@ -88,13 +88,6 @@ struct SimConfig {
   /// false = flat mb.bp_gups.
   bool use_kernel_model = true;
 
-  /// Bytes-on-the-wire discount of the framed row reduce
-  /// (IfdkOptions::compress_wire): the reduce phase moves out_bytes /
-  /// wire_compression_ratio instead of out_bytes. Feed it the MEASURED
-  /// StreamingStats::wire_ratio() of a small run to forecast the win at
-  /// scale; 1.0 (the default) models the uncompressed wire.
-  double wire_compression_ratio = 1.0;
-
   /// Store-bytes discount of the compressed store path
   /// (JobSpec::compress_store): the store phase writes out_bytes /
   /// store_compression_ratio. Feed it a measured

@@ -40,9 +40,9 @@ class IoError : public Error {
   explicit IoError(const std::string& what) : Error(what) {}
 };
 
-/// Thrown when a compressed payload (a wire frame, an RLE stream, or a
-/// serialized CompressedVolume) is truncated, bit-flipped, or lies about its
-/// own length. Messages name the offending byte offset so a corrupt frame is
+/// Thrown when a compressed payload (an RLE stream or a serialized
+/// CompressedVolume) is truncated, bit-flipped, or lies about its own
+/// length. Messages name the offending byte offset so a corrupt object is
 /// attributable; decoders validate *before* touching payload bytes, so a
 /// corrupt stream can never become UB (the suites run under ASan/UBSan).
 class CompressionError : public Error {

@@ -79,27 +79,6 @@ void extract_zmajor_slice(const float* zmajor, std::size_t nx, std::size_t ny,
                           std::size_t pair_depth, std::size_t local_k,
                           float* dst);
 
-/// Byte counters of one rank's framed reduce traffic: what its encoder was
-/// fed (raw) versus what actually hit the wire (encoded, headers included).
-/// raw/encoded is the rank's wire compression ratio; the lossless frame
-/// codec guarantees encoded <= raw + per-frame header overhead. Accumulated
-/// on the single thread that drives the codec (the reduce thread), so the
-/// counters need no atomics.
-struct WireStats {
-  /// Bytes handed to the encoder (4 * floats sent).
-  std::size_t raw_bytes = 0;
-  /// Frame bytes actually posted (compressed payloads + headers).
-  std::size_t encoded_bytes = 0;
-};
-
-/// Builds the mpi::WireCodec used for framed row-reduce traffic, backed by
-/// the lossless postproc frame codec (byte-plane shuffle + RLE with raw
-/// fallback), so reduced results stay bitwise identical to unframed runs.
-/// `stats` (may be null) accumulates this codec's encoder traffic; it must
-/// outlive every ireduce initiated with the returned codec and is bumped
-/// from the calling thread only.
-mpi::WireCodec make_wire_codec(WireStats* stats);
-
 /// Per-volume col/row communicator cache — the grid re-split machinery.
 ///
 /// A split is a collective on the parent communicator, so every rank must

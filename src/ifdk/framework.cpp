@@ -13,7 +13,6 @@
 #include "common/error.h"
 #include "engine/engine.h"
 #include "fft/fft.h"
-#include "gpusim/device.h"
 #include "minimpi/minimpi.h"
 
 namespace ifdk {
@@ -91,8 +90,6 @@ struct StreamRankStats {
   /// read after its join.
   double compute = 0;
   std::vector<std::string> volume_errors;  ///< row roots only; "" = stored
-  /// This rank's framed reduce-encoder traffic (zero unless compress_wire).
-  engine::WireStats wire;
   /// Per-volume store accounting of the volumes this rank roots (all other
   /// entries stay default); every column-0 rank of a grid is a row root, so
   /// the cross-rank merge must SUM sse/values/bytes and MAX the peak.
@@ -109,21 +106,17 @@ class FdkStreamWorkload final : public engine::Workload {
   FdkStreamWorkload(pfs::ParallelFileSystem& fs, const IfdkOptions& options,
                     std::span<const JobSpec> volumes,
                     std::span<const DecompositionPlan> plans,
-                    std::uint64_t max_slab_bytes,
-                    std::uint64_t max_batch_bytes,
                     std::size_t max_gather_floats)
       : fs_(fs),
         options_(options),
         volumes_(volumes),
         plans_(plans),
-        max_slab_bytes_(max_slab_bytes),
-        max_batch_bytes_(max_batch_bytes),
         max_gather_floats_(max_gather_floats) {
     rank_stats_.resize(static_cast<std::size_t>(options.ranks));
   }
 
-  /// Workload-owned per-rank results (compute span, wire traffic,
-  /// per-volume store outcomes), merged by the caller.
+  /// Workload-owned per-rank results (compute span, per-volume store
+  /// outcomes), merged by the caller.
   const StreamRankStats& rank_stats(std::size_t rank) const {
     return rank_stats_[rank];
   }
@@ -136,8 +129,6 @@ class FdkStreamWorkload final : public engine::Workload {
     std::span<const JobSpec> volumes = volumes_;
     std::span<const DecompositionPlan> plans = plans_;
     const std::size_t n_volumes = volumes.size();
-    const std::uint64_t max_slab_bytes = max_slab_bytes_;
-    const std::uint64_t max_batch_bytes = max_batch_bytes_;
     const std::size_t max_gather_floats = max_gather_floats_;
 
     mpi::Comm& world = ctx.world;
@@ -160,15 +151,6 @@ class FdkStreamWorkload final : public engine::Workload {
       rows_per_volume.push_back(plan.grid.rows);
     }
     engine::EpochComms epoch_comms(world, rows_per_volume);
-
-    // Streaming keeps TWO slab pairs resident per device: the one the
-    // Bp-thread is accumulating (volume v+1) and the one draining through
-    // the row reduce (volume v) — both sized for the stream's largest slab.
-    gpusim::Device device(options.device);
-    gpusim::DeviceBuffer bp_slab_buf = device.allocate(max_slab_bytes);
-    gpusim::DeviceBuffer reduce_slab_buf =
-        device.allocate(n_volumes > 1 ? max_slab_bytes : 0);
-    gpusim::DeviceBuffer batch_buf = device.allocate(max_batch_bytes);
 
     struct Filtered {
       std::size_t vol;
@@ -330,9 +312,6 @@ class FdkStreamWorkload final : public engine::Workload {
         }
         engine::VolumeWriterSet writers(fs, options.queue_capacity, roots,
                                         store_bits);
-        // One codec for the whole stream: the counters live in this rank's
-        // stat sink and are only ever bumped from this thread.
-        const mpi::WireCodec wire_codec = engine::make_wire_codec(&stats.wire);
         std::vector<float> partial;
         std::vector<float> reduced;
         for (std::size_t v = 0; v < n_volumes; ++v) {
@@ -385,8 +364,7 @@ class FdkStreamWorkload final : public engine::Workload {
           mpi::Comm::CollectiveRequest req = row_comm.ireduce(
               partial.data(), col == 0 ? reduced.data() : nullptr,
               partial.size(), mpi::ReduceOp::kSum, /*root=*/0,
-              options.reduce_segment_floats, std::move(on_segment),
-              options.compress_wire ? &wire_codec : nullptr);
+              options.reduce_segment_floats, std::move(on_segment));
           reduce_timer.time("reduce", [&] { req.wait(); });
           if (col == 0) {
             reduce_timer.time("store", [&] {
@@ -536,8 +514,6 @@ class FdkStreamWorkload final : public engine::Workload {
   const IfdkOptions& options_;
   std::span<const JobSpec> volumes_;
   std::span<const DecompositionPlan> plans_;
-  std::uint64_t max_slab_bytes_;
-  std::uint64_t max_batch_bytes_;
   std::size_t max_gather_floats_;
   std::vector<StreamRankStats> rank_stats_;
 };
@@ -607,8 +583,7 @@ StreamingStats stream_core(const geo::CbctGeometry& geometry,
         std::to_string(options.device.memory_bytes) + " B");
   }
 
-  FdkStreamWorkload workload(fs, options, volumes, plans, max_slab_bytes,
-                             max_batch_bytes, max_gather_floats);
+  FdkStreamWorkload workload(fs, options, volumes, plans, max_gather_floats);
   const engine::EngineStats engine_stats =
       engine::run(options.ranks, workload);
 
@@ -621,8 +596,6 @@ StreamingStats stream_core(const geo::CbctGeometry& geometry,
   std::vector<pfs::StreamStats> store(n_volumes);
   for (std::size_t r = 0; r < static_cast<std::size_t>(options.ranks); ++r) {
     const StreamRankStats& rs = workload.rank_stats(r);
-    out.wire_raw_bytes += rs.wire.raw_bytes;
-    out.wire_encoded_bytes += rs.wire.encoded_bytes;
     for (std::size_t v = 0; v < n_volumes; ++v) {
       if (out.volume_errors[v].empty() && !rs.volume_errors[v].empty()) {
         out.volume_errors[v] = rs.volume_errors[v];

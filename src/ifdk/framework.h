@@ -39,8 +39,9 @@
 // thread-free replay of the same arithmetic (tests/fdk_oracle.h).
 //
 // Wall-clock per stage is recorded per rank and merged, along with a
-// per-thread overlap efficiency (busy/wall); a gpusim::Device per rank
-// enforces the 16 GB memory constraint.
+// per-thread overlap efficiency (busy/wall). The 16 GB memory constraint is
+// checked once, before any rank starts: the resident slab pairs plus one
+// projection batch must fit IfdkOptions::device.memory_bytes.
 #pragma once
 
 #include <cstddef>
@@ -104,11 +105,6 @@ struct StreamingStats {
 
   // -- compression accounting -----------------------------------------------
 
-  /// Bytes the framed row-reduce encoder was fed, summed over ranks
-  /// (0 unless IfdkOptions::compress_wire).
-  std::size_t wire_raw_bytes = 0;
-  /// Frame bytes that actually went on the wire (headers included).
-  std::size_t wire_encoded_bytes = 0;
   /// Bytes row roots handed the store path (4 * voxels stored).
   std::size_t store_raw_bytes = 0;
   /// Bytes that actually hit the PFS (serialized compressed objects for
@@ -117,14 +113,6 @@ struct StreamingStats {
   /// Per-volume quantization PSNR of the stored slices in dB, merged over
   /// row roots; +inf for volumes stored raw (bit-exact store).
   std::vector<double> volume_store_psnr_db;
-  /// Achieved wire compression ratio raw/encoded (1 when no framed traffic
-  /// was sent).
-  double wire_ratio() const {
-    return wire_encoded_bytes == 0
-               ? 1.0
-               : static_cast<double>(wire_raw_bytes) /
-                     static_cast<double>(wire_encoded_bytes);
-  }
   /// Achieved store compression ratio raw/stored (1 when nothing stored).
   double store_ratio() const {
     return store_stored_bytes == 0

@@ -61,13 +61,6 @@ struct IfdkOptions {
   /// Smaller segments start the store earlier; larger ones amortize
   /// per-message cost. Matches mpi::Comm::kDefaultReduceSegment.
   std::size_t reduce_segment_floats = std::size_t{1} << 16;
-  /// Frame the row-ireduce wire traffic with the lossless postproc codec
-  /// (byte-plane shuffle + RLE, raw fallback): senders compress segments,
-  /// tree relays concatenate the self-describing frames verbatim, the root
-  /// decompresses before the fold. Lossless by construction, so volumes are
-  /// bitwise identical to compress_wire=false (pinned by test); the achieved
-  /// ratio is reported in StreamingStats/IfdkStats.
-  bool compress_wire = false;
   /// Simulated per-rank GPU (memory budget + modeled PCIe/kernel rates).
   gpusim::DeviceSpec device;
   /// Projection objects are read from `<input_prefix><s>`, s in [0, Np).

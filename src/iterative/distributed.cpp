@@ -10,7 +10,6 @@
 #include "common/image.h"
 #include "common/volume.h"
 #include "engine/engine.h"
-#include "gpusim/device.h"
 #include "iterative/iterative.h"
 #include "minimpi/minimpi.h"
 #include "projector/forward.h"
@@ -37,7 +36,7 @@ class IterativeWorkload final : public engine::Workload {
  public:
   IterativeWorkload(pfs::ParallelFileSystem& fs, const IfdkOptions& options,
                     const JobSpec& job, const DecompositionPlan& plan)
-      : fs_(fs), options_(options), job_(job), plan_(plan) {
+      : fs_(fs), job_(job), plan_(plan) {
     outs_.resize(static_cast<std::size_t>(options.ranks));
   }
 
@@ -55,12 +54,6 @@ class IterativeWorkload final : public engine::Workload {
     const int rank = ctx.rank;
     IterRankOut& out = outs_[static_cast<std::size_t>(rank)];
     Timer rank_timer;
-
-    // The replicated-volume working set must fit the simulated device; the
-    // allocator enforces what run_iterative's admission check promised.
-    gpusim::Device device(options_.device);
-    gpusim::DeviceBuffer working_set =
-        device.allocate(plan.iter_device_bytes(subsets));
 
     // ---- Load this rank's view shard (ascending projection index) ---------
     const std::vector<std::size_t> shard =
@@ -242,7 +235,6 @@ class IterativeWorkload final : public engine::Workload {
 
  private:
   pfs::ParallelFileSystem& fs_;
-  const IfdkOptions& options_;
   const JobSpec& job_;
   const DecompositionPlan& plan_;
   std::vector<IterRankOut> outs_;

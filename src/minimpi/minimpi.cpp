@@ -50,19 +50,6 @@ class World {
 
   void fetch(std::uint64_t comm_id, int my_world, int src_comm_rank,
              std::uint64_t tag, void* data, std::size_t bytes) {
-    const std::vector<char> payload =
-        fetch_any(comm_id, my_world, src_comm_rank, tag);
-    IFDK_ASSERT_MSG(payload.size() == bytes,
-                    "matched message has a different size than the receive "
-                    "buffer (mismatched send/recv pair)");
-    if (bytes > 0) std::memcpy(data, payload.data(), bytes);
-  }
-
-  /// Like fetch(), but returns the matched payload whatever its size. Wire
-  /// frames are variable-length (a compressed segment's size depends on its
-  /// content), so the framed ireduce paths cannot pre-size a receive buffer.
-  std::vector<char> fetch_any(std::uint64_t comm_id, int my_world,
-                              int src_comm_rank, std::uint64_t tag) {
     Mailbox& box = boxes_[static_cast<std::size_t>(my_world)];
     const Key key{comm_id, src_comm_rank, tag};
     std::unique_lock<std::mutex> lock(box.mutex);
@@ -73,11 +60,15 @@ class World {
       return it != box.messages.end() && it->first == key;
     });
     check_alive();
-    std::vector<char> payload = std::move(it->second);
+    const std::vector<char> payload = std::move(it->second);
     // Every matched message leaves the mailbox with its key: collective
     // tags are never reused, so nothing may stay behind per tag.
     box.messages.erase(it);
-    return payload;
+    lock.unlock();
+    IFDK_ASSERT_MSG(payload.size() == bytes,
+                    "matched message has a different size than the receive "
+                    "buffer (mismatched send/recv pair)");
+    if (bytes > 0) std::memcpy(data, payload.data(), bytes);
   }
 
   void abort() {
@@ -387,34 +378,10 @@ struct FanInTree {
 
 }  // namespace
 
-namespace {
-
-/// Decodes the `frames` concatenated wire frames of a fan-in block (each
-/// `len` floats, written to consecutive `len`-strided slots of `out`) and
-/// requires the block to be exactly consumed — trailing bytes mean a peer
-/// framed its message wrong or the block was corrupted in flight.
-void decode_frame_block(const WireCodec& wire, const std::vector<char>& block,
-                        std::size_t frames, std::size_t len, float* out) {
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(block.data());
-  std::size_t off = 0;
-  for (std::size_t f = 0; f < frames; ++f) {
-    off += wire.decode(bytes + off, block.size() - off, out + f * len, len);
-  }
-  if (off != block.size()) {
-    throw CompressionError("ireduce wire block: " +
-                           std::to_string(block.size() - off) +
-                           " trailing bytes after " + std::to_string(frames) +
-                           " frames at offset " + std::to_string(off));
-  }
-}
-
-}  // namespace
-
 Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
                                       std::size_t count, ReduceOp op, int root,
                                       std::size_t segment_floats,
-                                      SegmentCallback on_segment,
-                                      const WireCodec* wire) {
+                                      SegmentCallback on_segment) {
   IFDK_ASSERT(root >= 0 && root < size());
   IFDK_ASSERT_MSG(segment_floats > 0,
                   "ireduce segment size must be positive (and identical on "
@@ -422,15 +389,8 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
   const std::size_t segments =
       count == 0 ? 0 : (count + segment_floats - 1) / segment_floats;
   if (segments == 0) return CollectiveRequest([] {});
-  // The codec is copied now (captured by value below): completion lambdas
-  // may run long after the caller's WireCodec went out of scope.
-  const bool use_wire = wire != nullptr;
-  IFDK_ASSERT_MSG(!use_wire || (wire->encode && wire->decode),
-                  "ireduce wire codec requires both encode and decode");
-  const WireCodec codec = use_wire ? *wire : WireCodec{};
   // Per segment, every non-root vrank sends exactly one message to its
-  // parent, so the reduce takes one sequence number per segment. Framing
-  // changes message *sizes*, never message *count*.
+  // parent, so the reduce takes one sequence number per segment.
   const std::uint64_t tag = reserve_collective_tags(segments);
   const int p = size();
 
@@ -451,15 +411,8 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
     for (std::size_t s = 0; s < segments; ++s) {
       const std::size_t offset = s * segment_floats;
       const std::size_t len = std::min(segment_floats, count - offset);
-      if (use_wire) {
-        const std::vector<std::uint8_t> frame =
-            codec.encode(send_data + offset, len);
-        world_->post(comm_id_, parent, rank_, tag + s, frame.data(),
-                     frame.size());
-      } else {
-        world_->post(comm_id_, parent, rank_, tag + s, send_data + offset,
-                     len * sizeof(float));
-      }
+      world_->post(comm_id_, parent, rank_, tag + s, send_data + offset,
+                   len * sizeof(float));
     }
     return CollectiveRequest([] {});
   }
@@ -468,39 +421,19 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
     // Relay: per segment, gather the children's subtree blocks, splice in
     // this rank's own contribution at vrank position 0, and forward the
     // assembled [v, v+span) block to the parent. Runs inside wait().
-    // With a wire codec the relay never decodes: frames are self-describing,
-    // so the upward block is this rank's own frame followed by the children's
-    // byte blocks verbatim — the concatenate-only invariant that keeps the
-    // fold order fixed carries over to framed traffic.
     return CollectiveRequest([world = world_, comm_id = comm_id_,
                               members = members_, rank = rank_, p, root,
                               vrank, tree, send_data, count, segment_floats,
-                              segments, tag, use_wire, codec] {
+                              segments, tag] {
       const int my_world = members[static_cast<std::size_t>(rank)];
       const int parent =
           members[static_cast<std::size_t>((tree.parent(vrank) + root) % p)];
       const std::vector<int> children = tree.children(vrank);
       const std::size_t span = static_cast<std::size_t>(tree.span(vrank));
-      std::vector<float> block(use_wire ? 0
-                                        : span * std::min(segment_floats,
-                                                          count));
-      std::vector<std::uint8_t> frames;
+      std::vector<float> block(span * std::min(segment_floats, count));
       for (std::size_t s = 0; s < segments; ++s) {
         const std::size_t offset = s * segment_floats;
         const std::size_t len = std::min(segment_floats, count - offset);
-        if (use_wire) {
-          frames = codec.encode(send_data + offset, len);
-          for (const int child : children) {
-            const int child_rank = (child + root) % p;
-            const std::vector<char> child_block =
-                world->fetch_any(comm_id, my_world, child_rank, tag + s);
-            frames.insert(frames.end(), child_block.begin(),
-                          child_block.end());
-          }
-          world->post(comm_id, parent, rank, tag + s, frames.data(),
-                      frames.size());
-          continue;
-        }
         std::memcpy(block.data(), send_data + offset, len * sizeof(float));
         for (const int child : children) {
           const std::size_t child_span =
@@ -523,7 +456,7 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
   return CollectiveRequest([world = world_, comm_id = comm_id_,
                             members = members_, rank = rank_, p, root, tree,
                             send_data, recv, count, op, segment_floats,
-                            segments, tag, use_wire, codec,
+                            segments, tag,
                             on_segment = std::move(on_segment)] {
     const int my_world = members[static_cast<std::size_t>(rank)];
     const std::vector<int> children = tree.children(0);
@@ -538,20 +471,9 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
         const std::size_t child_span =
             static_cast<std::size_t>(tree.span(child));
         const int child_rank = (child + root) % p;
-        if (use_wire) {
-          // One concatenated block of child_span frames, in ascending vrank
-          // order — decode them into the same vrank-indexed slots the raw
-          // path receives into.
-          const std::vector<char> child_block =
-              world->fetch_any(comm_id, my_world, child_rank, tag + s);
-          decode_frame_block(
-              codec, child_block, child_span, len,
-              incoming.data() + static_cast<std::size_t>(child) * len);
-        } else {
-          world->fetch(comm_id, my_world, child_rank, tag + s,
-                       incoming.data() + static_cast<std::size_t>(child) * len,
-                       child_span * len * sizeof(float));
-        }
+        world->fetch(comm_id, my_world, child_rank, tag + s,
+                     incoming.data() + static_cast<std::size_t>(child) * len,
+                     child_span * len * sizeof(float));
       }
       // Ascending-rank fold starting from rank 0's contribution: rank r's
       // contribution sits at vrank (r - root + p) % p.

@@ -47,14 +47,6 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
 }
 
-void put_u32_at(std::vector<std::uint8_t>& out, std::size_t pos,
-                std::uint32_t v) {
-  out[pos] = static_cast<std::uint8_t>(v & 0xff);
-  out[pos + 1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
-  out[pos + 2] = static_cast<std::uint8_t>((v >> 16) & 0xff);
-  out[pos + 3] = static_cast<std::uint8_t>((v >> 24) & 0xff);
-}
-
 std::uint32_t get_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -62,8 +54,6 @@ std::uint32_t get_u32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-/// "FWF1" little-endian: iFDK wire frame, version 1.
-constexpr std::uint32_t kFrameMagic = 0x31465746u;
 /// "CVS1" little-endian: compressed volume store object, version 1.
 constexpr std::uint32_t kVolumeMagic = 0x31535643u;
 /// Serialized CompressedVolume header: magic u32, nx/ny/nz u32, layout u8,
@@ -203,176 +193,6 @@ double psnr_db(const Volume& a, const Volume& b) {
   if (mse == 0) return std::numeric_limits<double>::infinity();
   IFDK_REQUIRE(peak > 0, "PSNR undefined for an all-zero reference");
   return 10.0 * std::log10(peak * peak / mse);
-}
-
-// -- lossless wire frames ----------------------------------------------------
-
-std::vector<std::uint8_t> encode_frame(const float* data, std::size_t count) {
-  IFDK_REQUIRE(count <= 0xffffffffu,
-               "wire frame word count exceeds the u32 header field");
-  const std::size_t raw_bytes = count * sizeof(float);
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data);
-
-  // Byte-plane shuffle + per-plane RLE of (run u16, value u8) records, each
-  // plane prefixed with its encoded length. Floats that are equal or share
-  // exponent/sign structure produce long runs in the high planes even when
-  // mantissa planes stay noisy.
-  std::vector<std::uint8_t> encoded;
-  bool use_rle = count > 0;
-  for (std::size_t plane = 0; plane < sizeof(float) && use_rle; ++plane) {
-    const std::size_t size_pos = encoded.size();
-    encoded.insert(encoded.end(), 4, 0);  // length prefix, patched below
-    const std::size_t plane_start = encoded.size();
-    auto flush = [&encoded](std::uint8_t value, std::size_t length) {
-      while (length > 0) {
-        const std::uint16_t run =
-            static_cast<std::uint16_t>(std::min<std::size_t>(length, 65535));
-        encoded.push_back(static_cast<std::uint8_t>(run & 0xff));
-        encoded.push_back(static_cast<std::uint8_t>(run >> 8));
-        encoded.push_back(value);
-        length -= run;
-      }
-    };
-    std::uint8_t current = bytes[plane];
-    std::size_t run = 1;
-    for (std::size_t i = 1; i < count; ++i) {
-      const std::uint8_t b = bytes[i * sizeof(float) + plane];
-      if (b == current) {
-        ++run;
-      } else {
-        flush(current, run);
-        current = b;
-        run = 1;
-      }
-    }
-    flush(current, run);
-    put_u32_at(encoded, size_pos,
-               static_cast<std::uint32_t>(encoded.size() - plane_start));
-    if (encoded.size() >= raw_bytes) use_rle = false;  // raw can't lose
-  }
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes +
-                (use_rle ? encoded.size() : raw_bytes));
-  put_u32(frame, kFrameMagic);
-  frame.push_back(use_rle ? 1 : 0);  // mode
-  frame.insert(frame.end(), 3, 0);   // reserved
-  put_u32(frame, static_cast<std::uint32_t>(count));
-  if (use_rle) {
-    put_u32(frame, static_cast<std::uint32_t>(encoded.size()));
-    put_u32(frame, fnv1a(encoded.data(), encoded.size()));
-    frame.insert(frame.end(), encoded.begin(), encoded.end());
-  } else {
-    put_u32(frame, static_cast<std::uint32_t>(raw_bytes));
-    put_u32(frame, fnv1a(bytes, raw_bytes));
-    frame.insert(frame.end(), bytes, bytes + raw_bytes);
-  }
-  return frame;
-}
-
-std::size_t decode_frame(const std::uint8_t* data, std::size_t bytes_available,
-                         float* out, std::size_t expected_count) {
-  if (bytes_available < kFrameHeaderBytes) {
-    fail("wire frame: truncated header, " + std::to_string(bytes_available) +
-             " of " + std::to_string(kFrameHeaderBytes) + " bytes",
-         bytes_available);
-  }
-  if (get_u32(data) != kFrameMagic) fail("wire frame: bad magic", 0);
-  const std::uint8_t mode = data[4];
-  if (mode > 1) {
-    fail("wire frame: unknown mode " + std::to_string(mode), 4);
-  }
-  for (std::size_t i = 5; i < 8; ++i) {
-    if (data[i] != 0) fail("wire frame: nonzero reserved byte", i);
-  }
-  const std::size_t count = get_u32(data + 8);
-  if (count != expected_count) {
-    fail("wire frame: word count " + std::to_string(count) +
-             " != expected " + std::to_string(expected_count),
-         8);
-  }
-  const std::size_t payload_bytes = get_u32(data + 12);
-  if (payload_bytes > bytes_available - kFrameHeaderBytes) {
-    fail("wire frame: payload length " + std::to_string(payload_bytes) +
-             " exceeds the " +
-             std::to_string(bytes_available - kFrameHeaderBytes) +
-             " bytes available",
-         12);
-  }
-  const std::size_t raw_bytes = count * sizeof(float);
-  if (mode == 0 && payload_bytes != raw_bytes) {
-    fail("wire frame: raw payload length " + std::to_string(payload_bytes) +
-             " != " + std::to_string(raw_bytes),
-         12);
-  }
-  if (mode == 1 && (count == 0 || payload_bytes >= raw_bytes)) {
-    fail("wire frame: RLE payload length " + std::to_string(payload_bytes) +
-             " not smaller than raw " + std::to_string(raw_bytes),
-         12);
-  }
-  const std::uint8_t* payload = data + kFrameHeaderBytes;
-  const std::uint32_t checksum = get_u32(data + 16);
-  if (fnv1a(payload, payload_bytes) != checksum) {
-    fail("wire frame: payload checksum mismatch", 16);
-  }
-
-  if (mode == 0) {
-    std::memcpy(out, payload, raw_bytes);
-    return kFrameHeaderBytes + payload_bytes;
-  }
-
-  // Mode 1: four length-prefixed byte planes. The checksum already pinned
-  // the payload bits, but parse defensively anyway — every read and write is
-  // bounds-checked so even a checksum collision cannot become UB.
-  auto* out_bytes = reinterpret_cast<std::uint8_t*>(out);
-  std::size_t off = 0;  // relative to payload; errors report absolute offsets
-  for (std::size_t plane = 0; plane < sizeof(float); ++plane) {
-    if (off + 4 > payload_bytes) {
-      fail("wire frame: truncated plane " + std::to_string(plane) + " prefix",
-           kFrameHeaderBytes + off);
-    }
-    const std::size_t plane_bytes = get_u32(payload + off);
-    off += 4;
-    if (plane_bytes > payload_bytes - off) {
-      fail("wire frame: plane " + std::to_string(plane) + " length " +
-               std::to_string(plane_bytes) + " overruns payload",
-           kFrameHeaderBytes + off - 4);
-    }
-    if (plane_bytes % 3 != 0) {
-      fail("wire frame: plane " + std::to_string(plane) +
-               " has a truncated RLE record",
-           kFrameHeaderBytes + off + plane_bytes - plane_bytes % 3);
-    }
-    std::size_t decoded = 0;
-    const std::size_t plane_end = off + plane_bytes;
-    while (off < plane_end) {
-      const std::size_t run = static_cast<std::size_t>(payload[off]) |
-                              (static_cast<std::size_t>(payload[off + 1]) << 8);
-      const std::uint8_t value = payload[off + 2];
-      if (decoded + run > count) {
-        fail("wire frame: plane " + std::to_string(plane) +
-                 " decodes past word count " + std::to_string(count),
-             kFrameHeaderBytes + off);
-      }
-      for (std::size_t i = 0; i < run; ++i) {
-        out_bytes[(decoded + i) * sizeof(float) + plane] = value;
-      }
-      decoded += run;
-      off += 3;
-    }
-    if (decoded != count) {
-      fail("wire frame: plane " + std::to_string(plane) + " decodes " +
-               std::to_string(decoded) + " of " + std::to_string(count) +
-               " words",
-           kFrameHeaderBytes + off);
-    }
-  }
-  if (off != payload_bytes) {
-    fail("wire frame: " + std::to_string(payload_bytes - off) +
-             " trailing payload bytes",
-         kFrameHeaderBytes + off);
-  }
-  return kFrameHeaderBytes + payload_bytes;
 }
 
 // -- serialized store objects ------------------------------------------------

@@ -3,28 +3,19 @@
 //
 // High-resolution CT volumes are huge (256 GB at 4K, 2 TB at 8K) but highly
 // compressible: most voxels are air, and tissue/material plateaus are long
-// runs after quantization. Two codecs live here:
+// runs after quantization. The store codec here is lossy-then-lossless:
 //
-//   * The LOSSY store codec:
-//       float32  --(linear quantization, configurable bits)-->  uint16
-//                --(run-length encoding of equal words)------->  byte stream
-//     a lossy-then-lossless stage pair whose error is bounded by half a
-//     quantization step. Compression ratio and PSNR are first-class outputs
-//     so the store-stage savings can be fed back into the performance model
-//     (a compressed 8K store at ratio r cuts Tstore by r).
+//   float32  --(linear quantization, configurable bits)-->  uint16
+//            --(run-length encoding of equal words)------->  byte stream
 //
-//   * The LOSSLESS wire codec (encode_frame / decode_frame): byte-plane
-//     shuffle + per-plane RLE with a guaranteed raw-frame fallback, so the
-//     encoded payload is never larger than the raw floats (ratio >= 1 by
-//     construction). Frames are self-describing — a fixed header carries the
-//     mode, word count, payload length, and an FNV-1a checksum — so framed
-//     contributions can be concatenated back-to-back (the tree-ireduce relay
-//     path) and parsed without out-of-band length information. Round trips
-//     are bitwise exact, NaN/Inf payloads included (the codec never
-//     interprets the bits as floats).
+// Its error is bounded by half a quantization step. Compression ratio and
+// PSNR are first-class outputs so the store-stage savings can be fed back
+// into the performance model (a compressed 8K store at ratio r cuts Tstore
+// by r). serialize_volume / deserialize_volume frame a compressed volume as
+// one self-contained, checksummed store object.
 //
-// Corrupt input of either codec throws ifdk::CompressionError naming the
-// offending byte offset; decoders validate before touching payload bytes.
+// Corrupt input throws ifdk::CompressionError naming the offending byte
+// offset; decoders validate before touching payload bytes.
 #pragma once
 
 #include <cstdint>
@@ -70,32 +61,6 @@ Volume decompress(const CompressedVolume& compressed);
 
 /// Peak signal-to-noise ratio between two volumes in dB (peak = max |a|).
 double psnr_db(const Volume& a, const Volume& b);
-
-// -- lossless wire frames ----------------------------------------------------
-
-/// Bytes of the self-describing frame header: magic u32, mode u8 (0 = raw,
-/// 1 = byte-plane shuffle + RLE), 3 reserved bytes, word count u32, payload
-/// length u32, FNV-1a payload checksum u32. All fields little-endian.
-inline constexpr std::size_t kFrameHeaderBytes = 20;
-
-/// Losslessly encodes `count` floats into one self-describing frame.
-/// The payload is the smaller of {byte-plane shuffle + RLE, raw bytes}, so
-/// frame.size() <= kFrameHeaderBytes + 4*count always (ratio >= 1 by
-/// construction, up to the constant header). Bitwise exact round trip for
-/// every bit pattern, NaN/Inf included; count == 0 yields a header-only
-/// frame. `count` must fit the header's u32 word-count field.
-std::vector<std::uint8_t> encode_frame(const float* data, std::size_t count);
-
-/// Decodes one frame starting at `data` and writes exactly `expected_count`
-/// floats to `out`; returns the number of frame bytes consumed (header +
-/// payload), so concatenated frames can be parsed sequentially. Validates
-/// magic, mode, word count (must equal `expected_count`), payload length
-/// (against `bytes_available` — a length-lying header cannot cause an
-/// out-of-bounds read), and the checksum, in that order, before decoding;
-/// any violation throws CompressionError naming the offending byte offset
-/// relative to the frame start.
-std::size_t decode_frame(const std::uint8_t* data, std::size_t bytes_available,
-                         float* out, std::size_t expected_count);
 
 // -- serialized store objects ------------------------------------------------
 

@@ -50,8 +50,6 @@ struct ServiceState {
   std::size_t batches = 0;
   std::size_t resplits = 0;
   std::size_t admitted_output_bytes = 0;  ///< raw output bytes past admission
-  std::size_t wire_raw_bytes = 0;         ///< framed-reduce encoder input
-  std::size_t wire_encoded_bytes = 0;     ///< frame bytes on the wire
   std::size_t store_raw_bytes = 0;        ///< bytes handed the store path
   std::size_t store_stored_bytes = 0;     ///< bytes that hit the PFS
   bool have_last_grid = false;
@@ -266,7 +264,7 @@ JobHandle ReconService::submit(JobSpec spec) {
     ++tenant.submitted;
     // Admission byte accounting: the job's claim on the store is its raw
     // output volume, counted the moment it is accepted (what it WILL move;
-    // the measured wire/store counters report what dispatch actually moved).
+    // the measured store counters report what dispatch actually moved).
     const std::size_t output_bytes = plan.volume_floats() * sizeof(float);
     tenant.admitted_output_bytes += output_bytes;
     state_->admitted_output_bytes += output_bytes;
@@ -317,8 +315,6 @@ ServiceStats ReconService::stats() const {
           ? st.queue_latency_sum / static_cast<double>(st.dispatched_jobs)
           : 0;
   out.admitted_output_bytes = st.admitted_output_bytes;
-  out.wire_raw_bytes = st.wire_raw_bytes;
-  out.wire_encoded_bytes = st.wire_encoded_bytes;
   out.store_raw_bytes = st.store_raw_bytes;
   out.store_stored_bytes = st.store_stored_bytes;
   out.tenants = st.tenants;
@@ -424,11 +420,9 @@ void ReconService::dispatch_loop() {
     lock.lock();
 
     if (!iterative_batch && batch_error.empty()) {
-      // Measured byte movement of the dispatched stream: what the framed
-      // reduce wire and the store path actually carried, summed across
-      // batches so stats() reports ratio-of-sums.
-      st.wire_raw_bytes += streamed.wire_raw_bytes;
-      st.wire_encoded_bytes += streamed.wire_encoded_bytes;
+      // Measured byte movement of the dispatched stream: what the store
+      // path actually carried, summed across batches so stats() reports
+      // ratio-of-sums.
       st.store_raw_bytes += streamed.store_raw_bytes;
       st.store_stored_bytes += streamed.store_stored_bytes;
     }

@@ -137,11 +137,6 @@ struct ServiceStats {
 
   /// Raw output bytes (4 * voxels) accepted past admission, all tenants.
   std::size_t admitted_output_bytes = 0;
-  /// Bytes fed to the framed row-reduce wire encoder across all dispatched
-  /// FDK streams (0 unless IfdkOptions::compress_wire).
-  std::size_t wire_raw_bytes = 0;
-  /// Frame bytes that actually crossed the wire (headers included).
-  std::size_t wire_encoded_bytes = 0;
   /// Bytes row roots handed the store path across all dispatched streams.
   std::size_t store_raw_bytes = 0;
   /// Bytes that actually hit the PFS (serialized compressed objects for

@@ -281,7 +281,22 @@ TEST(Framework, DeviceTooSmallThrows) {
   opts.ranks = 2;
   opts.rows = 1;
   opts.device.memory_bytes = 1024;  // cannot hold anything
-  EXPECT_THROW(run_distributed(s.g, fs, opts), DeviceOutOfMemory);
+  // One resident slab pair plus one projection batch, checked before any
+  // rank starts; the message names both sides of the comparison.
+  const DecompositionPlan plan = DecompositionPlan::make(s.g, opts);
+  const std::uint64_t needed =
+      plan.slab_bytes() +
+      static_cast<std::uint64_t>(plan.bp_batch) * plan.pixels * sizeof(float);
+  try {
+    run_distributed(s.g, fs, opts);
+    FAIL() << "expected DeviceOutOfMemory";
+  } catch (const DeviceOutOfMemory& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("needs " + std::to_string(needed) + " B"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("device has 1024 B"), std::string::npos) << what;
+  }
 }
 
 TEST(Framework, RejectsInvalidDecompositions) {

@@ -182,7 +182,7 @@ TEST(ServiceAdmission, IterativeDeviceMisfitRejectsAtSubmitNamingTheNumbers) {
 TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
   // Admission charges each tenant the job's raw output bytes (4 * voxels of
   // its plan) the moment it is accepted; after dispatch the service-wide
-  // wire/store counters report what the streams actually moved, so
+  // store counters report what the streams actually moved, so
   // ratio-of-sums is the service's achieved compression.
   const auto g = small_geometry();  // 12^3 output = 6912 raw bytes
   std::vector<ServiceJob> jobs;
@@ -198,7 +198,6 @@ TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
   ServiceOptions opts;
   opts.ifdk.ranks = 4;
   opts.ifdk.rows = 2;
-  opts.ifdk.compress_wire = true;
   opts.start_paused = true;
   ReconService svc(g, fs, opts);
   std::vector<JobHandle> handles;
@@ -210,7 +209,6 @@ TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
   EXPECT_EQ(queued.tenants.at("alice").admitted_output_bytes, 2 * job_bytes);
   EXPECT_EQ(queued.tenants.at("bob").admitted_output_bytes, job_bytes);
   // Nothing dispatched yet: the measured counters are still zero.
-  EXPECT_EQ(queued.wire_raw_bytes, 0u);
   EXPECT_EQ(queued.store_raw_bytes, 0u);
 
   svc.drain();
@@ -220,8 +218,6 @@ TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
 
   const ServiceStats done = svc.stats();
   EXPECT_EQ(done.admitted_output_bytes, 3 * job_bytes);
-  EXPECT_GT(done.wire_raw_bytes, 0u);        // compress_wire was on
-  EXPECT_GT(done.wire_encoded_bytes, 0u);
   EXPECT_EQ(done.store_raw_bytes, 3 * job_bytes);
   // One of three volumes stored compressed: fewer bytes hit the PFS than
   // were handed to the store path.
